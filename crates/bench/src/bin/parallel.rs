@@ -5,8 +5,7 @@
 //! frontier exists).
 
 use arb_bench as bench;
-use arb_core::parallel::evaluate_tree_parallel;
-use arb_core::twophase::evaluate_tree;
+use arb_core::{evaluate_tree, evaluate_tree_parallel};
 use arb_datagen::queries::{RandomPathQuery, R_INFIX};
 use arb_datagen::RegexShape;
 use std::time::Instant;

@@ -28,9 +28,7 @@
 use arb_core::evaluate_tree;
 use arb_datagen::queries::{RandomPathQuery, R_INFIX, R_TOP_DOWN};
 use arb_datagen::{acgt, treebank_tree, RegexShape, TreebankConfig};
-use arb_engine::{
-    evaluate_disk, evaluate_disk_batch, Database, DocUpdate, QueryBatch, StandingQuery,
-};
+use arb_engine::{evaluate_disk, Database, DocUpdate, QueryBatch, StandingQuery};
 use arb_server::protocol::{OutputKind, QueryResult, WireLanguage};
 use arb_server::{Client, Server, ServerConfig};
 use arb_storage::{create_from_tree_with, ArbDatabase, FormatVersion};
@@ -259,8 +257,9 @@ fn collect() -> Vec<(String, Metric)> {
             .map(|q| compile_tmnf(&q.to_program(R_TOP_DOWN), &mut ml))
             .collect();
     let batch = QueryBatch::from_programs(&progs);
+    let db = Database::from_disk(db);
     let t = Instant::now();
-    let combined = evaluate_disk_batch(&batch, &db).expect("batch eval");
+    let combined = db.prepare_batch(&batch).run().expect("batch eval");
     let batch_ms = t.elapsed().as_secs_f64() * 1e3;
     count(
         &mut out,

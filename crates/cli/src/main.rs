@@ -259,6 +259,11 @@ fn query(args: &[String]) -> Result<(), String> {
     let mut db = Database::open_arb(db_path).map_err(|e| e.to_string())?;
     let (queries, rest) = compile(&mut db, &args[1..])?;
     let parsed = parse_query_flags(&rest)?;
+    if parsed.memory {
+        // `--memory`: evaluate on the materialized tree instead of the file.
+        let tree = db.to_tree().map_err(|e| e.to_string())?;
+        db = Database::from_tree(tree, db.labels().clone());
+    }
 
     // Per-query output lines carry a `q<i>:` prefix for multi-query
     // sessions (or when --batch forces batch formatting).
@@ -270,10 +275,7 @@ fn query(args: &[String]) -> Result<(), String> {
 
     let batch = QueryBatch::new(&queries);
     let session = db.prepare_batch(&batch);
-    let req = EvalRequest::new()
-        .prefer_memory(parsed.memory)
-        .parallelism(parsed.threads)
-        .verbose_stats(parsed.show_stats);
+    let req = EvalRequest::new().parallelism(parsed.threads);
 
     let label = |i: usize| {
         if prefixed {
@@ -302,7 +304,7 @@ fn query(args: &[String]) -> Result<(), String> {
             for (i, count) in sink.counts().iter().enumerate() {
                 println!("{}{count} nodes selected", label(i));
             }
-            print_stats(&session, &report, &req, prefixed);
+            print_stats(&session, &report, parsed.show_stats, prefixed);
             Ok(())
         }
         Output::Nodes => {
@@ -313,7 +315,7 @@ fn query(args: &[String]) -> Result<(), String> {
                     println!("{}{}", label(i), v.0);
                 }
             }
-            print_stats(&session, &report, &req, prefixed);
+            print_stats(&session, &report, parsed.show_stats, prefixed);
             Ok(())
         }
         Output::Xml => {
@@ -335,22 +337,16 @@ fn query(args: &[String]) -> Result<(), String> {
                     report
                 }
             };
-            print_stats(&session, &report, &req, prefixed);
+            print_stats(&session, &report, parsed.show_stats, prefixed);
             Ok(())
         }
     }
 }
 
-/// Prints the Figure-6 statistics rows when the request's
-/// `verbose_stats` option (the CLI's `--stats`) asked for them: one row
-/// per query, plus the shared-pass note in batch formatting.
-fn print_stats(
-    session: &Session<'_>,
-    report: &arb_engine::EvalReport,
-    req: &EvalRequest,
-    prefixed: bool,
-) {
-    if !req.options().verbose_stats {
+/// Prints the Figure-6 statistics rows when `--stats` asked for them:
+/// one row per query, plus the shared-pass note in batch formatting.
+fn print_stats(session: &Session<'_>, report: &arb_engine::EvalReport, show: bool, prefixed: bool) {
+    if !show {
         return;
     }
     let Some(batch) = &report.batch else { return };

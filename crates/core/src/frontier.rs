@@ -10,15 +10,17 @@
 //!
 //! The only structure frontier picking needs is each node's preorder
 //! subtree extent plus its child flags. [`SubtreeIndex`] holds those and
-//! can be built either from a materialized [`BinaryTree`]
-//! ([`SubtreeIndex::from_tree`], the in-memory path) or from the raw
-//! arrays of a one-pass backward metadata scan over an `.arb` record
-//! stream ([`SubtreeIndex::from_parts`]; see
-//! `arb_storage::subtree_extents` — the disk path, which never
-//! materializes the tree).
+//! can be built either from an in-memory preorder sequence
+//! ([`SubtreeIndex::from_seq`], e.g. a materialized
+//! [`BinaryTree`](arb_tree::BinaryTree)) or from the raw arrays of a
+//! one-pass backward metadata scan over an `.arb` record stream
+//! ([`SubtreeIndex::from_parts`]; see `arb_storage::subtree_extents` —
+//! the disk path, which never materializes the tree). Both run the same
+//! extent fold ([`arb_tree::traverse::subtree_extents`]).
 
-use arb_tree::BinaryTree;
+use arb_tree::traverse::{subtree_extents, NodeSeq, ReversePreorder};
 use std::borrow::Cow;
+use std::io;
 
 /// Bit 0 of a `kinds` entry: the node has a first child.
 pub const HAS_FIRST: u8 = 1;
@@ -37,24 +39,13 @@ pub struct SubtreeIndex<'a> {
 }
 
 impl SubtreeIndex<'static> {
-    /// Builds the index from a materialized tree.
-    pub fn from_tree(tree: &BinaryTree) -> Self {
-        let n = tree.len();
-        let mut ends = vec![0u32; n];
-        let mut kinds = vec![0u8; n];
-        for ix in (0..n as u32).rev() {
-            let v = arb_tree::NodeId(ix);
-            ends[ix as usize] = if let Some(c) = tree.second_child(v) {
-                ends[c.ix()]
-            } else if let Some(c) = tree.first_child(v) {
-                ends[c.ix()]
-            } else {
-                ix + 1
-            };
-            kinds[ix as usize] =
-                (tree.has_first(v) as u8 * HAS_FIRST) | (tree.has_second(v) as u8 * HAS_SECOND);
-        }
-        SubtreeIndex::from_parts(ends, kinds)
+    /// Builds the index from an in-memory preorder sequence by the same
+    /// backward extent fold the disk path runs over its record stream.
+    /// Errors if the sequence does not describe exactly one tree.
+    pub fn from_seq<T: NodeSeq + ?Sized>(seq: &T) -> io::Result<Self> {
+        let n = seq.node_count();
+        let (ends, kinds) = subtree_extents(&mut ReversePreorder::new(seq, 0, n), n)?;
+        Ok(SubtreeIndex::from_parts(ends, kinds))
     }
 }
 
@@ -162,7 +153,7 @@ impl<'a> SubtreeIndex<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use arb_tree::{infix::infix_tree, LabelId, LabelTable, NodeId};
+    use arb_tree::{infix::infix_tree, BinaryTree, LabelId, LabelTable, NodeId};
 
     fn balanced_tree(len: u32) -> BinaryTree {
         let mut lt = LabelTable::new();
@@ -174,7 +165,7 @@ mod tests {
     #[test]
     fn subtree_index_is_consistent() {
         let t = balanced_tree(31);
-        let idx = SubtreeIndex::from_tree(&t);
+        let idx = SubtreeIndex::from_seq(&t).unwrap();
         assert_eq!(idx.end(0), t.len() as u32);
         for v in t.nodes() {
             assert_eq!(idx.first_child(v.0), t.first_child(v).map(|c| c.0));
@@ -188,7 +179,7 @@ mod tests {
     #[test]
     fn frontier_covers_all_but_the_spine_of_split_ancestors() {
         let t = balanced_tree(4095);
-        let idx = SubtreeIndex::from_tree(&t);
+        let idx = SubtreeIndex::from_seq(&t).unwrap();
         let roots = idx.frontier(8);
         assert!(roots.len() > 1, "balanced tree must admit a frontier");
 
@@ -219,7 +210,7 @@ mod tests {
     #[test]
     fn tiny_trees_yield_no_frontier() {
         let t = balanced_tree(7);
-        let idx = SubtreeIndex::from_tree(&t);
+        let idx = SubtreeIndex::from_seq(&t).unwrap();
         assert_eq!(idx.frontier(4), vec![0]);
         assert!(idx.spine(&[0]).is_empty());
     }
@@ -229,7 +220,7 @@ mod tests {
     #[test]
     fn absurd_targets_are_clamped_not_panicking() {
         let t = balanced_tree(4095);
-        let idx = SubtreeIndex::from_tree(&t);
+        let idx = SubtreeIndex::from_seq(&t).unwrap();
         for target in [0usize, 1 << 30, 1 << 32, usize::MAX] {
             let roots = idx.frontier(target);
             assert!(!roots.is_empty());

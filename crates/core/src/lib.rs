@@ -32,21 +32,24 @@
 //! * [`lazy`] — the lazily-computed deterministic automata `A` and `B`
 //!   (`ComputeReachableStates` / `ComputeTruePreds`) with interned states
 //!   and transition hash tables,
-//! * [`twophase`] — Algorithm 4.6 over in-memory trees,
-//! * [`frontier`] — subtree extents and frontier picking, the split
-//!   planning shared by every parallel evaluator (in-memory and the
-//!   engine's sharded disk path),
-//! * [`parallel`] — parallel bottom-up evaluation over balanced trees
-//!   (the Section 6.2 parallelism case study),
+//! * [`kernel`] — Algorithm 4.6 as one backward and one forward fold
+//!   over a record stream: the single evaluation kernel, generic over
+//!   where the records ([`kernel::RecordSource`]) and the phase-1 states
+//!   ([`kernel::StateStore`]) live, sharded over a subtree frontier
+//!   (the Section 6.2 parallelism case study) when asked to,
+//! * [`frontier`] — subtree extents and frontier picking, the kernel's
+//!   split planning,
+//! * [`twophase`] — the raw-program fronts of the kernel over in-memory
+//!   trees ([`evaluate_tree`], [`evaluate_tree_parallel`]),
 //! * [`stats`] — transition counts, state counts and memory accounting
 //!   (the paper's Figure 6 columns).
 
 pub mod alphabet;
 pub mod automata;
 pub mod frontier;
+pub mod kernel;
 pub mod lazy;
 pub mod ops;
-pub mod parallel;
 pub mod sta;
 pub mod stats;
 pub mod twophase;
@@ -54,9 +57,5 @@ pub mod twophase;
 pub use alphabet::{AlphabetId, AlphabetInterner};
 pub use frontier::SubtreeIndex;
 pub use lazy::{AutomataPool, InternStats, QueryAutomata};
-pub use parallel::{evaluate_tree_parallel, evaluate_tree_parallel_with};
 pub use stats::EvalStats;
-pub use twophase::{
-    evaluate_tree, evaluate_tree_batch, evaluate_tree_with, BatchTreeEvalResult, TreeEvalResult,
-    TreeEvalRun,
-};
+pub use twophase::{evaluate_tree, evaluate_tree_parallel, TreeEvalResult};

@@ -1,23 +1,16 @@
-//! Algorithm 4.6 — two-phase query evaluation — over in-memory trees.
-//!
-//! 1. Compute the run ρ_A of the bottom-up automaton `A` (lazily, via
-//!    `ComputeReachableStates`) starting at the leaves with residual
-//!    program ⊥.
-//! 2. At the root, extract the true predicates `TruePreds(ρ_A(Root))`.
-//! 3. Starting with those as `s_B`, compute the run ρ_B of the top-down
-//!    automaton `B` (lazily, via `ComputeTruePreds`), which assigns the
-//!    set of true predicates to each node.
-//!
-//! The disk-based variant over `.arb` scans (which streams ρ_A through a
-//! temporary state file, paper footnote 12) lives in `arb-engine`; both
-//! share [`QueryAutomata`].
+//! Algorithm 4.6 over in-memory trees: the raw-program fronts of the
+//! evaluation [`kernel`] for harnesses and reference
+//! suites. Product code evaluates through `arb-engine`'s `Session`; these
+//! exist because a raw [`CoreProgram`] routed through a query batch would
+//! be re-merged (re-interning its EDB atoms) and drift the pinned
+//! transition and interning counts.
 
-use crate::lazy::QueryAutomata;
+use crate::kernel::{self, Demand, VecStore, Visit};
+use crate::lazy::{AutomataPool, QueryAutomata};
 use crate::stats::EvalStats;
 use arb_logic::{Atom, PredSetId, ProgramId};
 use arb_tmnf::{CoreProgram, PredId};
 use arb_tree::{BinaryTree, NodeId, NodeSet};
-use std::time::{Duration, Instant};
 
 /// Result of a two-phase evaluation on an in-memory tree: the full
 /// predicate annotation of every node (as interned predicate-set ids)
@@ -65,174 +58,50 @@ impl TreeEvalResult {
     }
 }
 
-/// The borrowed-automata form of a two-phase run: both per-node state
-/// assignments plus statistics, **without** owning the automata that
-/// interned them. The state ids are only meaningful against the
-/// `QueryAutomata` the run stepped (see [`evaluate_tree_with`]).
-pub struct TreeEvalRun {
-    /// ρ_A: phase-1 state (residual program id) per node, preorder.
-    pub rho_a: Vec<ProgramId>,
-    /// ρ_B: phase-2 state (true-predicate set id) per node, preorder.
-    pub rho_b: Vec<PredSetId>,
-    /// Statistics (times, transitions, memory). `automata_builds` /
-    /// `automata_reused` are left 0 — the caller that managed the
-    /// automata's lifecycle fills them in.
-    pub stats: EvalStats,
+/// Evaluates a strict TMNF program on an in-memory tree by Algorithm 4.6
+/// with a fresh automata pair; `stats.selected` counts the nodes any
+/// query predicate selects.
+///
+/// # Panics
+///
+/// On an empty tree (there is no root to ask about).
+pub fn evaluate_tree(prog: &CoreProgram, tree: &BinaryTree) -> TreeEvalResult {
+    evaluate_tree_parallel(prog, tree, 1)
 }
 
-/// Evaluates a strict TMNF program on an in-memory tree by Algorithm 4.6,
-/// **stepping a caller-provided automata** instead of constructing one.
-///
-/// This is the reusable-lifecycle kernel: `qa` must have been built (via
-/// [`QueryAutomata::new`] or an [`AutomataPool`](crate::AutomataPool))
-/// for *this* `prog`, and may arrive warm from earlier evaluations — its
-/// memoized δ tables are consulted as-is, so a warm rerun reports ~0
-/// lazily computed transitions. The phase-1 sweep runs in reverse
-/// preorder (children before parents — the in-memory equivalent of the
-/// backward linear scan of Proposition 5.1); phase 2 runs in preorder
-/// (the forward scan). Transition counts in the returned stats are this
-/// run's deltas, regardless of what the automata counted before.
-pub fn evaluate_tree_with(
+/// [`evaluate_tree`] with the bottom-up fold sharded over `threads`
+/// workers on a subtree frontier (the paper's §6.2 case study: on
+/// balanced trees this is the `O(log n)` parallel regular-expression
+/// matching; degenerate right-deep trees admit no frontier and fold as
+/// one window). Identical state assignments: worker states are
+/// re-interned into the returned master automata.
+pub fn evaluate_tree_parallel(
     prog: &CoreProgram,
     tree: &BinaryTree,
-    qa: &mut QueryAutomata,
-) -> TreeEvalRun {
+    threads: usize,
+) -> TreeEvalResult {
     let n = tree.len();
-    assert!(n > 0, "cannot evaluate a query on an empty tree");
-    let (bu0, td0) = (qa.bu_transitions, qa.td_transitions);
-
-    // --- Phase 1: bottom-up run of A -------------------------------------
-    let t1 = Instant::now();
-    let mut rho_a: Vec<ProgramId> = vec![ProgramId(0); n];
-    for ix in (0..n as u32).rev() {
-        let v = NodeId(ix);
-        let s1 = tree.first_child(v).map(|c| rho_a[c.ix()]);
-        let s2 = tree.second_child(v).map(|c| rho_a[c.ix()]);
-        rho_a[v.ix()] = qa.bottom_up(s1, s2, tree.info(v));
-    }
-    let phase1_time = t1.elapsed();
-
-    // --- Phase 2: top-down run of B ---------------------------------------
-    let t2 = Instant::now();
-    let mut rho_b: Vec<PredSetId> = vec![PredSetId(0); n];
-    rho_b[0] = qa.start_state(rho_a[0]);
-    for ix in 0..n as u32 {
-        let v = NodeId(ix);
-        let q = rho_b[v.ix()];
-        if let Some(c) = tree.first_child(v) {
-            rho_b[c.ix()] = qa.top_down(q, rho_a[c.ix()], 1);
-        }
-        if let Some(c) = tree.second_child(v) {
-            rho_b[c.ix()] = qa.top_down(q, rho_a[c.ix()], 2);
-        }
-    }
-    let phase2_time = t2.elapsed();
-
-    // --- Statistics --------------------------------------------------------
-    let selected = match prog.query_preds() {
-        [] => 0,
-        qs => rho_b
-            .iter()
-            .filter(|&&ps| {
-                let set = qa.predsets.get(ps);
-                qs.iter().any(|&q| set.contains(Atom::local(q)))
-            })
-            .count() as u64,
+    let (mut rho_a, mut rho_b) = (Vec::with_capacity(n), Vec::with_capacity(n));
+    let mut record = |v: &Visit<'_>| {
+        rho_a.push(v.rho_a);
+        rho_b.push(v.rho_b);
     };
-    let stats = EvalStats {
-        idb_count: prog.pred_count(),
-        rule_count: prog.rule_count(),
-        phase1_time,
-        phase1_transitions: qa.bu_transitions - bu0,
-        phase2_time,
-        phase2_transitions: qa.td_transitions - td0,
-        selected,
-        memory_bytes: qa.memory_bytes(),
-        bu_states: qa.bu_state_count(),
-        td_states: qa.td_state_count(),
-        nodes: n as u64,
-        backward_scans: 1,
-        forward_scans: 1,
-        sta_encoded_bytes: 0,
-        sta_decoded_bytes: 0,
-        db_format: 0,
-        blocks_decoded: 0,
-        batch_size: 0,
-        queue_wait: Duration::ZERO,
-        automata_builds: 0,
-        automata_reused: 0,
-        automata_build_time: Duration::ZERO,
-        interning: qa.intern_stats(),
-        dirty_nodes: 0,
-        retained_sta_blocks: 0,
-        refreshes: 0,
-    };
-
-    TreeEvalRun {
+    let query: Vec<Atom> = prog.query_preds().iter().map(|&p| Atom::local(p)).collect();
+    let run = kernel::evaluate(
+        prog,
+        tree,
+        &VecStore::new(n as u32),
+        &[query],
+        Demand::Stream(&mut record),
+        threads,
+        &AutomataPool::new(),
+    )
+    .expect("in-memory evaluation of a non-empty preorder tree");
+    TreeEvalResult {
+        automata: run.automata,
         rho_a,
         rho_b,
-        stats,
-    }
-}
-
-/// Evaluates a strict TMNF program on an in-memory tree by Algorithm 4.6,
-/// building a fresh automata pair for the run. One-shot convenience over
-/// [`evaluate_tree_with`]; callers that evaluate repeatedly should keep
-/// the automata (or a pool) alive and use the `_with` kernel.
-pub fn evaluate_tree(prog: &CoreProgram, tree: &BinaryTree) -> TreeEvalResult {
-    let t = Instant::now();
-    let mut qa = QueryAutomata::new(prog);
-    let build_time = t.elapsed();
-    let run = evaluate_tree_with(prog, tree, &mut qa);
-    let mut stats = run.stats;
-    stats.automata_builds = 1;
-    stats.automata_build_time = build_time;
-    TreeEvalResult {
-        automata: qa,
-        rho_a: run.rho_a,
-        rho_b: run.rho_b,
-        stats,
-    }
-}
-
-/// Result of a batched in-memory evaluation: the merged-program
-/// evaluation plus the per-input query predicates needed to demultiplex.
-pub struct BatchTreeEvalResult {
-    /// The evaluation of the merged program (one phase-1 sweep, one
-    /// phase-2 sweep for the entire batch).
-    pub result: TreeEvalResult,
-    /// For each input program, the merged ids of its query predicates.
-    pub query_preds: Vec<Vec<PredId>>,
-}
-
-impl BatchTreeEvalResult {
-    /// The set of nodes selected by input query `i` (union over its
-    /// query predicates).
-    pub fn selected(&self, i: usize) -> NodeSet {
-        let mut s = NodeSet::new(self.result.rho_b.len());
-        for (ix, &ps) in self.result.rho_b.iter().enumerate() {
-            let set = self.result.automata.predsets.get(ps);
-            if self.query_preds[i]
-                .iter()
-                .any(|&q| set.contains(Atom::local(q)))
-            {
-                s.insert(NodeId(ix as u32));
-            }
-        }
-        s
-    }
-}
-
-/// Evaluates a batch of strict TMNF programs on an in-memory tree with
-/// **one** shared two-phase run: the programs are merged at the IR level
-/// ([`arb_tmnf::merge_programs`]) and the merged program is evaluated by
-/// [`evaluate_tree`]. The k queries amortize both sweeps.
-pub fn evaluate_tree_batch(progs: &[&CoreProgram], tree: &BinaryTree) -> BatchTreeEvalResult {
-    let merged = arb_tmnf::merge_programs(progs);
-    let result = evaluate_tree(&merged.program, tree);
-    BatchTreeEvalResult {
-        result,
-        query_preds: merged.query_preds,
+        stats: run.stats,
     }
 }
 
@@ -240,7 +109,7 @@ pub fn evaluate_tree_batch(progs: &[&CoreProgram], tree: &BinaryTree) -> BatchTr
 mod tests {
     use super::*;
     use arb_tmnf::{naive, normalize, parse_program, programs};
-    use arb_tree::{LabelTable, TreeBuilder};
+    use arb_tree::{infix::infix_tree, LabelId, LabelTable, TreeBuilder};
 
     /// Cross-checks the two-phase result against the naive fixpoint on
     /// every (predicate, node) pair — Theorem 4.1.
@@ -344,19 +213,32 @@ mod tests {
         tb.close();
         let tree = tb.finish().unwrap();
 
-        let pool = crate::AutomataPool::new();
-        let mut qa = pool.take(&prog);
-        let cold = evaluate_tree_with(&prog, &tree, &mut qa);
-        pool.put(qa);
-        assert!(cold.stats.phase1_transitions > 0);
+        let pool = AutomataPool::new();
+        let run = || {
+            let mut ids = Vec::new();
+            let mut record = |v: &Visit<'_>| ids.push((v.rho_a, v.rho_b));
+            let run = kernel::evaluate(
+                &prog,
+                &tree,
+                &VecStore::new(tree.len() as u32),
+                &[],
+                Demand::Stream(&mut record),
+                1,
+                &pool,
+            )
+            .unwrap();
+            pool.put(run.automata);
+            (ids, run.stats)
+        };
+        let (cold_ids, cold) = run();
+        assert!(cold.phase1_transitions > 0);
+        assert_eq!((cold.automata_builds, cold.automata_reused), (1, 0));
 
-        let mut qa = pool.take(&prog);
-        let warm = evaluate_tree_with(&prog, &tree, &mut qa);
-        assert_eq!(warm.rho_a, cold.rho_a);
-        assert_eq!(warm.rho_b, cold.rho_b);
-        assert_eq!(warm.stats.selected, cold.stats.selected);
-        assert_eq!(warm.stats.phase1_transitions, 0, "fully memoized rerun");
-        assert_eq!(warm.stats.phase2_transitions, 0);
+        let (warm_ids, warm) = run();
+        assert_eq!(warm_ids, cold_ids);
+        assert_eq!(warm.phase1_transitions, 0, "fully memoized rerun");
+        assert_eq!(warm.phase2_transitions, 0);
+        assert_eq!((warm.automata_builds, warm.automata_reused), (0, 1));
         assert_eq!((pool.builds(), pool.reused()), (1, 1));
     }
 
@@ -382,5 +264,73 @@ mod tests {
         assert!(res.stats.bu_states > 0);
         let q = prog.pred_id("QUERY").unwrap();
         assert_eq!(res.extent(q).count(), 2);
+    }
+
+    #[test]
+    fn parallel_matches_sequential() {
+        let mut lt = LabelTable::new();
+        let root = lt.intern("r").unwrap();
+        let seq: Vec<LabelId> = (0..1023u32)
+            .map(|i| LabelId(b"ACGT"[(i as usize * 7 + 3) % 4] as u16))
+            .collect();
+        let tree = infix_tree(root, &seq);
+        let src = format!(
+            "QUERY :- V.Label['A'].{}.Label['C'];",
+            arb_tmnf::programs::INFIX_PREVIOUS
+        );
+        let ast = parse_program(&src, &mut lt).unwrap();
+        let mut prog = normalize(&ast);
+        prog.add_query_pred(prog.pred_id("QUERY").unwrap());
+
+        let seq_res = evaluate_tree(&prog, &tree);
+        let par_res = evaluate_tree_parallel(&prog, &tree, 4);
+        assert_eq!(seq_res.stats.selected, par_res.stats.selected);
+        for v in tree.nodes() {
+            assert_eq!(seq_res.preds_at(v), par_res.preds_at(v), "node {}", v.0);
+        }
+
+        // Stats compatibility: workers recompute transitions the
+        // sequential run memoizes once, so the parallel totals can only
+        // be at least the sequential ones — but they must stay within
+        // the (workers + master) × sequential envelope, and the
+        // structural columns must agree exactly. A `max`-merge of worker
+        // counts violated the lower bound.
+        for (seq_t, par_t) in [
+            (
+                seq_res.stats.phase1_transitions,
+                par_res.stats.phase1_transitions,
+            ),
+            (
+                seq_res.stats.phase2_transitions,
+                par_res.stats.phase2_transitions,
+            ),
+        ] {
+            assert!(
+                par_t >= seq_t,
+                "parallel transitions undercounted: {par_t} < sequential {seq_t}"
+            );
+            assert!(
+                par_t <= seq_t * 6,
+                "parallel transitions beyond the worker envelope: {par_t} vs {seq_t}"
+            );
+        }
+        assert_eq!(seq_res.stats.nodes, par_res.stats.nodes);
+        assert_eq!(seq_res.stats.idb_count, par_res.stats.idb_count);
+        assert_eq!(seq_res.stats.rule_count, par_res.stats.rule_count);
+    }
+
+    #[test]
+    fn parallel_on_tiny_tree_falls_back() {
+        let mut lt = LabelTable::new();
+        let a = lt.intern("a").unwrap();
+        let mut b = TreeBuilder::new();
+        b.open(a);
+        b.leaf(a);
+        b.close();
+        let tree = b.finish().unwrap();
+        let ast = parse_program("Q :- Root;", &mut lt).unwrap();
+        let prog = normalize(&ast);
+        let res = evaluate_tree_parallel(&prog, &tree, 8);
+        assert_eq!(res.rho_b.len(), 2);
     }
 }

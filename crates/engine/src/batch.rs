@@ -2,22 +2,20 @@
 //!
 //! A [`QueryBatch`] holds k compiled [`Query`] values merged into one
 //! strict TMNF program at the IR level ([`arb_tmnf::merge_programs`]).
-//! Evaluating the batch runs the merged program through the ordinary
-//! two-phase machinery — **one** backward linear scan and **one** forward
-//! linear scan for the whole batch, regardless of k (assert via the
-//! `backward_scans` / `forward_scans` counters of
-//! [`EvalStats`]) — and demultiplexes the node
-//! annotations back into one [`QueryOutcome`] per input query.
+//! A [`Session`](crate::Session) over the batch runs the merged program
+//! through the ordinary evaluation kernel — **one** backward linear scan
+//! and **one** forward linear scan for the whole batch, regardless of k
+//! (assert via the `backward_scans` / `forward_scans` counters of
+//! [`EvalStats`]) — with one group of query atoms per input query, and
+//! the batch turns the kernel's per-group sets back into one
+//! [`QueryOutcome`] per input query.
 
-use crate::diskeval::Phase2Hook;
 use crate::query::{Query, QueryLanguage};
 use crate::QueryOutcome;
-use arb_core::{AutomataPool, EvalStats};
+use arb_core::EvalStats;
 use arb_logic::Atom;
-use arb_storage::ArbDatabase;
 use arb_tmnf::{merge_programs, CoreProgram, PredId};
 use arb_tree::NodeSet;
-use std::io;
 
 /// Per-query bookkeeping inside a batch.
 struct BatchEntry {
@@ -179,297 +177,6 @@ pub struct BatchOutcome {
     pub outcomes: Vec<QueryOutcome>,
 }
 
-fn empty_batch_err() -> io::Error {
-    io::Error::new(
-        io::ErrorKind::InvalidInput,
-        "cannot evaluate an empty query batch",
-    )
-}
-
-/// Evaluates a batch over a disk database with one backward and one
-/// forward linear scan shared by all queries. Pass a `hook` to observe
-/// every node's merged predicate set in document order during phase 2
-/// (e.g. to emit marked XML while the batch evaluates).
-pub fn evaluate_disk_batch_with_hook(
-    batch: &QueryBatch,
-    db: &ArbDatabase,
-    hook: Option<Phase2Hook<'_>>,
-) -> io::Result<BatchOutcome> {
-    evaluate_disk_batch_opts(batch, db, 1, hook)
-}
-
-/// Snapshot of an [`AutomataPool`]'s lifetime counters, used to stamp
-/// one run's build/reuse deltas into its [`EvalStats`] — a session (or a
-/// cached server window) shares one pool across many runs, so per-run
-/// stats must be differences, not lifetime totals.
-struct PoolMark {
-    builds: u64,
-    reused: u64,
-    build_time: std::time::Duration,
-}
-
-impl PoolMark {
-    fn take(pool: &AutomataPool) -> Self {
-        PoolMark {
-            builds: pool.builds(),
-            reused: pool.reused(),
-            build_time: pool.build_time(),
-        }
-    }
-
-    /// Stamps the delta since the mark into `stats`.
-    fn stamp(&self, pool: &AutomataPool, stats: &mut EvalStats) {
-        stats.automata_builds = pool.builds() - self.builds;
-        stats.automata_reused = pool.reused() - self.reused;
-        stats.automata_build_time = pool.build_time().saturating_sub(self.build_time);
-    }
-}
-
-/// [`evaluate_disk_batch_with_hook`] with a thread count: `threads > 1`
-/// shards the two-phase pass over a frontier of disjoint subtree record
-/// windows (paper §6.2 on disk — see
-/// [`diskeval`](crate::diskeval#sharded-evaluation)). Results are
-/// identical to the sequential pass; degenerate documents fall back to
-/// it automatically.
-pub fn evaluate_disk_batch_opts(
-    batch: &QueryBatch,
-    db: &ArbDatabase,
-    threads: usize,
-    hook: Option<Phase2Hook<'_>>,
-) -> io::Result<BatchOutcome> {
-    evaluate_disk_batch_opts_sta(
-        batch,
-        db,
-        threads,
-        hook,
-        arb_storage::StaFormat::from_env(),
-        &AutomataPool::new(),
-    )
-}
-
-/// [`evaluate_disk_batch_opts`] with an explicit `.sta` stream format
-/// and a caller-owned [`AutomataPool`] — the session surface resolves
-/// `EvalOptions::sta_format` (falling back to `ARB_STA_FORMAT`) and
-/// hands down its own pool so repeated runs reuse warm automata. The
-/// run's build/reuse deltas against the pool are stamped into the
-/// returned stats (shared and per-query).
-pub(crate) fn evaluate_disk_batch_opts_sta(
-    batch: &QueryBatch,
-    db: &ArbDatabase,
-    threads: usize,
-    hook: Option<Phase2Hook<'_>>,
-    format: arb_storage::StaFormat,
-    pool: &AutomataPool,
-) -> io::Result<BatchOutcome> {
-    if batch.is_empty() {
-        return Err(empty_batch_err());
-    }
-    let mark = PoolMark::take(pool);
-    // The grouped kernel tests each query atom once per node and fills
-    // one node set per query directly inside the phase-2 scan.
-    let groups = batch.query_atoms();
-    let (mut merged_outcome, group_sets) = if threads > 1 {
-        crate::diskeval::evaluate_disk_grouped_parallel(
-            &batch.merged,
-            db,
-            &groups,
-            hook,
-            threads,
-            format,
-            pool,
-        )?
-    } else {
-        crate::diskeval::evaluate_disk_grouped(&batch.merged, db, &groups, hook, format, pool)?
-    };
-    merged_outcome.stats.batch_size = batch.len() as u64;
-    mark.stamp(pool, &mut merged_outcome.stats);
-    // A single-query batch gets its set back as the union.
-    let group_sets = if group_sets.is_empty() {
-        vec![merged_outcome.selected.clone()]
-    } else {
-        group_sets
-    };
-    let outcomes = batch.demux(
-        &merged_outcome.stats,
-        &merged_outcome.per_pred_counts,
-        group_sets,
-    );
-    Ok(BatchOutcome {
-        stats: merged_outcome.stats,
-        outcomes,
-    })
-}
-
-/// [`evaluate_disk_batch_with_hook`] without a hook.
-pub fn evaluate_disk_batch(batch: &QueryBatch, db: &ArbDatabase) -> io::Result<BatchOutcome> {
-    evaluate_disk_batch_with_hook(batch, db, None)
-}
-
-/// Evaluates a batch over an in-memory tree with one shared two-sweep
-/// pass of the merged program (the memory counterpart of
-/// [`evaluate_disk_batch`]; see also [`arb_core::evaluate_tree_batch`]
-/// for the raw-program variant used by the differential suites).
-pub fn evaluate_tree_batch(
-    batch: &QueryBatch,
-    tree: &arb_tree::BinaryTree,
-) -> io::Result<BatchOutcome> {
-    evaluate_tree_batch_opts(batch, tree, 1, None, &AutomataPool::new())
-}
-
-/// [`evaluate_tree_batch`] with knobs: `threads > 1` runs the phase-1/2
-/// sweeps through [`arb_core::evaluate_tree_parallel_with`] over a
-/// subtree frontier (the Section 6.2 case study), and a `hook` observes
-/// every node in document order with a synthesized record and per-query
-/// selection flags — the in-memory twin of the disk phase-2 hook, so
-/// streaming sinks work identically on both backends. The master
-/// automata and every worker's come from (and return to) `pool`, so a
-/// session-owned pool keeps the interned δ tables warm across runs.
-pub(crate) fn evaluate_tree_batch_opts(
-    batch: &QueryBatch,
-    tree: &arb_tree::BinaryTree,
-    threads: usize,
-    mut hook: Option<Phase2Hook<'_>>,
-    pool: &AutomataPool,
-) -> io::Result<BatchOutcome> {
-    if batch.is_empty() {
-        return Err(empty_batch_err());
-    }
-    let mark = PoolMark::take(pool);
-    let mut qa = pool.take(&batch.merged);
-    let mut run = if threads > 1 {
-        arb_core::evaluate_tree_parallel_with(&batch.merged, tree, threads, &mut qa, pool)
-    } else {
-        arb_core::evaluate_tree_with(&batch.merged, tree, &mut qa)
-    };
-    run.stats.batch_size = batch.len() as u64;
-    mark.stamp(pool, &mut run.stats);
-    let atoms = batch.query_atoms();
-    let mut sets: Vec<NodeSet> = (0..batch.len()).map(|_| NodeSet::new(tree.len())).collect();
-    let mut merged_counts = vec![0u64; atoms.iter().map(Vec::len).sum()];
-    let mut flags = vec![false; batch.len()];
-    for v in tree.nodes() {
-        let set = qa.predsets.get(run.rho_b[v.ix()]);
-        demux_node(set, &atoms, &mut merged_counts, &mut sets, v.0, &mut flags);
-        if let Some(h) = hook.as_mut() {
-            let info = tree.info(v);
-            let rec = arb_storage::NodeRecord {
-                label: info.label,
-                has_first: info.has_first,
-                has_second: info.has_second,
-            };
-            h(v.0, rec, set, &flags);
-        }
-    }
-    let outcomes = batch.demux(&run.stats, &merged_counts, sets);
-    pool.put(qa);
-    Ok(BatchOutcome {
-        stats: run.stats,
-        outcomes,
-    })
-}
-
-/// Tests every group's atoms against one node's predicate set, bumping
-/// the flattened per-atom counts, inserting the node into each matching
-/// group's set, and recording one selected-flag per group in `flags` —
-/// the per-node demux kernel shared by the disk phase-2 scan and the
-/// in-memory batch path.
-pub(crate) fn demux_node(
-    set: arb_logic::PredSetView<'_>,
-    groups: &[Vec<Atom>],
-    counts: &mut [u64],
-    sets: &mut [NodeSet],
-    ix: u32,
-    flags: &mut [bool],
-) {
-    let mut offset = 0usize;
-    for (g, (atoms, selected)) in groups.iter().zip(sets.iter_mut()).enumerate() {
-        let mut any = false;
-        for (j, a) in atoms.iter().enumerate() {
-            if set.contains(*a) {
-                counts[offset + j] += 1;
-                any = true;
-            }
-        }
-        if any {
-            selected.insert(arb_tree::NodeId(ix));
-        }
-        flags[g] = any;
-        offset += atoms.len();
-    }
-}
-
-/// Evaluates a batch of **boolean** (document-filtering) queries with a
-/// single shared backward scan: returns, per query, whether any of its
-/// query predicates holds at the root.
-pub fn evaluate_boolean_batch(batch: &QueryBatch, db: &ArbDatabase) -> io::Result<Vec<bool>> {
-    evaluate_boolean_batch_opts(batch, db, 1)
-}
-
-/// [`evaluate_boolean_batch`] with a thread count: `threads > 1` shards
-/// the single backward pass over a subtree frontier (still no `.sta`
-/// file — only the root's facts matter).
-pub fn evaluate_boolean_batch_opts(
-    batch: &QueryBatch,
-    db: &ArbDatabase,
-    threads: usize,
-) -> io::Result<Vec<bool>> {
-    evaluate_boolean_batch_pooled(batch, db, threads, &AutomataPool::new())
-}
-
-/// [`evaluate_boolean_batch_opts`] with a caller-owned [`AutomataPool`]
-/// — the session surface passes its pool so warm sessions answer
-/// repeated verdict runs without rebuilding automata.
-pub(crate) fn evaluate_boolean_batch_pooled(
-    batch: &QueryBatch,
-    db: &ArbDatabase,
-    threads: usize,
-    pool: &AutomataPool,
-) -> io::Result<Vec<bool>> {
-    if batch.is_empty() {
-        return Err(empty_batch_err());
-    }
-    let set = if threads > 1 {
-        crate::diskeval::root_true_preds_parallel(&batch.merged, db, threads, pool)?
-    } else {
-        crate::diskeval::root_true_preds(&batch.merged, db, pool)?
-    };
-    Ok(batch
-        .query_atoms()
-        .iter()
-        .map(|entry_atoms| entry_atoms.iter().any(|a| set.contains(*a)))
-        .collect())
-}
-
-/// The in-memory counterpart of [`evaluate_boolean_batch`]: per-query
-/// root verdicts from one shared two-phase run (same error behavior as
-/// the disk path). `threads > 1` parallelizes over the subtree frontier,
-/// like [`evaluate_tree_batch_opts`]; automata come from `pool`.
-pub(crate) fn evaluate_boolean_batch_tree(
-    batch: &QueryBatch,
-    tree: &arb_tree::BinaryTree,
-    threads: usize,
-    pool: &AutomataPool,
-) -> io::Result<Vec<bool>> {
-    if batch.is_empty() {
-        return Err(empty_batch_err());
-    }
-    // Only the root's predicate set matters — no per-node demux.
-    let mut qa = pool.take(&batch.merged);
-    let run = if threads > 1 {
-        arb_core::evaluate_tree_parallel_with(&batch.merged, tree, threads, &mut qa, pool)
-    } else {
-        arb_core::evaluate_tree_with(&batch.merged, tree, &mut qa)
-    };
-    let root_set = qa.predsets.get(run.rho_b[tree.root().ix()]);
-    let verdicts = batch
-        .query_atoms()
-        .iter()
-        .map(|entry_atoms| entry_atoms.iter().any(|a| root_set.contains(*a)))
-        .collect();
-    pool.put(qa);
-    Ok(verdicts)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -503,7 +210,7 @@ mod tests {
             .collect();
         let batch = QueryBatch::new(&queries);
         let disk = db.as_disk().unwrap();
-        let out = evaluate_disk_batch(&batch, disk).unwrap();
+        let out = db.prepare_batch(&batch).run().unwrap();
 
         // Exactly one scan in each direction for the whole batch.
         assert_eq!(out.stats.backward_scans, 1);
@@ -531,7 +238,7 @@ mod tests {
             db.compile_tmnf("QUERY :- Root, Leaf;").unwrap(),
         ];
         let batch = QueryBatch::new(&queries);
-        let verdicts = evaluate_boolean_batch(&batch, db.as_disk().unwrap()).unwrap();
+        let verdicts = db.prepare_batch(&batch).run_boolean().unwrap();
         assert_eq!(verdicts, vec![true, false]);
     }
 
@@ -539,7 +246,7 @@ mod tests {
     fn empty_batch_is_an_error() {
         let db = disk_db("<r/>", "empty");
         let batch = QueryBatch::new(&[]);
-        assert!(evaluate_disk_batch(&batch, db.as_disk().unwrap()).is_err());
-        assert!(evaluate_boolean_batch(&batch, db.as_disk().unwrap()).is_err());
+        assert!(db.prepare_batch(&batch).run().is_err());
+        assert!(db.prepare_batch(&batch).run_boolean().is_err());
     }
 }

@@ -2,19 +2,16 @@
 //! the database's label space.
 //!
 //! Evaluation happens through prepared [`Session`]s — see
-//! [`Database::prepare`] and the [`session`](crate::session) module. The
-//! legacy `evaluate*` method matrix survives as deprecated one-line shims
-//! over that path.
+//! [`Database::prepare`] and the [`session`](crate::session) module.
 
 use crate::query::{choose_query_pred, Query, QueryLanguage};
 use crate::session::Session;
 use crate::update::{parse_fragment, tree_records, AppliedUpdate, DocUpdate};
-use crate::QueryOutcome;
 use arb_storage::{ArbDatabase, CreationStats, FormatVersion, UpdateOp};
 use arb_tree::{BinaryTree, LabelTable};
 use arb_xml::XmlConfig;
 use std::fmt;
-use std::io::{self, Write};
+use std::io;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
@@ -317,76 +314,6 @@ impl Database {
     }
 }
 
-/// The legacy method-per-(cardinality × output-mode) matrix, now one-line
-/// shims over [`Database::prepare`] + [`Session`] with the corresponding
-/// sink. Migration map:
-///
-/// | legacy                   | prepared replacement                              |
-/// |--------------------------|---------------------------------------------------|
-/// | `evaluate`               | `prepare(&[q]).run_one()`                         |
-/// | `evaluate_boolean`       | `prepare(&[q]).run_boolean()` / [`crate::BooleanSink`] |
-/// | `evaluate_marked`        | `prepare(&[q]).run_marked(out)` / [`crate::XmlMarkSink`] |
-/// | `evaluate_batch`         | `prepare_batch(&batch).run()`                     |
-/// | `evaluate_boolean_batch` | `prepare_batch(&batch).run_boolean()`             |
-/// | `evaluate_batch_marked`  | `prepare_batch(&batch).run_marked(out)`           |
-impl Database {
-    /// Evaluates a query by the two-phase algorithm.
-    #[deprecated(note = "prepare a Session: `Database::prepare` + `Session::run_one`")]
-    pub fn evaluate(&self, query: &Query) -> Result<QueryOutcome, EngineError> {
-        self.prepare(std::slice::from_ref(query)).run_one()
-    }
-
-    /// Evaluates a query as a **boolean** (document-filtering) query.
-    #[deprecated(note = "prepare a Session: `Session::run_boolean` or a `BooleanSink`")]
-    pub fn evaluate_boolean(&self, query: &Query) -> Result<bool, EngineError> {
-        Ok(self.prepare(std::slice::from_ref(query)).run_boolean()?[0])
-    }
-
-    /// Evaluates a query and writes the document with selected nodes
-    /// marked.
-    #[deprecated(note = "prepare a Session: `Session::run_marked` or an `XmlMarkSink`")]
-    pub fn evaluate_marked(
-        &self,
-        query: &Query,
-        out: impl Write,
-    ) -> Result<QueryOutcome, EngineError> {
-        Ok(self
-            .prepare(std::slice::from_ref(query))
-            .run_marked(out)?
-            .outcomes
-            .remove(0))
-    }
-
-    /// Evaluates a [`QueryBatch`](crate::QueryBatch) in one shared pass.
-    #[deprecated(note = "prepare a Session: `Database::prepare_batch` + `Session::run`")]
-    pub fn evaluate_batch(
-        &self,
-        batch: &crate::QueryBatch,
-    ) -> Result<crate::BatchOutcome, EngineError> {
-        self.prepare_batch(batch).run()
-    }
-
-    /// Evaluates every query of a batch as a boolean query.
-    #[deprecated(note = "prepare a Session: `Database::prepare_batch` + `Session::run_boolean`")]
-    pub fn evaluate_boolean_batch(
-        &self,
-        batch: &crate::QueryBatch,
-    ) -> Result<Vec<bool>, EngineError> {
-        self.prepare_batch(batch).run_boolean()
-    }
-
-    /// Evaluates a batch and writes the document once, marking the union
-    /// of the batch's selections.
-    #[deprecated(note = "prepare a Session: `Database::prepare_batch` + `Session::run_marked`")]
-    pub fn evaluate_batch_marked(
-        &self,
-        batch: &crate::QueryBatch,
-        out: impl Write,
-    ) -> Result<crate::BatchOutcome, EngineError> {
-        self.prepare_batch(batch).run_marked(out)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -437,19 +364,5 @@ mod tests {
         sd.run_marked(&mut bd).unwrap();
         sm.run_marked(&mut bm).unwrap();
         assert_eq!(bd, bm);
-    }
-
-    /// The deprecated shims stay behaviorally identical to the prepared
-    /// path they delegate to.
-    #[test]
-    #[allow(deprecated)]
-    fn legacy_shims_delegate() {
-        let mut db = Database::from_xml_str("<r><a/><b><a>t</a></b></r>").unwrap();
-        let q = db.compile_tmnf("QUERY :- V.Label[a];").unwrap();
-        assert_eq!(db.evaluate(&q).unwrap().stats.selected, 2);
-        assert!(!db.evaluate_boolean(&q).unwrap());
-        let mut buf = Vec::new();
-        db.evaluate_marked(&q, &mut buf).unwrap();
-        assert!(String::from_utf8(buf).unwrap().contains("arb:selected"));
     }
 }

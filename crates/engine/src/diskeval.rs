@@ -1,902 +1,262 @@
-//! Algorithm 4.6 over the `.arb` secondary-storage model.
+//! The secondary-storage side of the evaluation kernel: the `.arb` scans
+//! as a [`RecordSource`], the temporary `.sta` file as a [`StateStore`].
 //!
-//! Phase 1 runs the bottom-up automaton over one **backward linear scan**
-//! of the `.arb` file, streaming the per-node state ids to a uniquely
-//! named temporary `.sta` file (deleted when the run ends). Phase 2 runs
-//! the top-down automaton over one **forward linear scan**, reading the
-//! `.sta` file forward in lockstep. Main memory holds only the two
-//! automata (lazily grown hash tables) and a stack bounded by the XML
-//! depth — the paper's three desiderata of Section 1.1.
+//! [`arb_core::kernel`] holds the algorithm — one backward fold, one
+//! forward fold, sharded over a subtree frontier when asked to. This
+//! module only says where its records and states live on disk:
 //!
-//! The `.sta` stream defaults to the block-compressed layout
-//! ([`arb_storage::StaFormat::Blocked`]): phase 1 appends run-length +
-//! delta/varint encoded blocks and phase 2 decodes each block once into
-//! a reusable buffer and steps the automata over the decoded states —
-//! instead of one buffered 4-byte file read per node, which PR 6's
-//! profiles showed dominating disk phase 1. `ARB_STA_FORMAT=flat` (or
-//! `EvalOptions::sta_format` on the session surface) selects the paper's
-//! bare 4-bytes-per-node layout (footnote 12).
+//! * [`DiskSource`] opens backward and forward (range) scans of an
+//!   [`ArbDatabase`] — raw v1 records or decoded v2 blocks — and plans
+//!   frontiers from the database's cached subtree extents. Main memory
+//!   holds only the automata and a stack bounded by the XML depth, the
+//!   paper's three desiderata of Section 1.1.
+//! * [`StaStore`] streams ρ_A through a uniquely named scratch file
+//!   (paper footnote 12), deleted when the run ends: by default the
+//!   block-compressed layout ([`StaFormat::Blocked`]), or the paper's
+//!   bare 4 bytes per node ([`StaFormat::Flat`]). A one-window run writes
+//!   the single segment `[0, n)`; a sharded run's workers write disjoint
+//!   segments of one shared stream and the spine is patched in.
 //!
-//! # Sharded evaluation
-//!
-//! "Tree automata (working on binary trees) naturally admit parallel
-//! processing" (paper §6.2): distinct subtrees are independent, and on
-//! disk a subtree is a contiguous preorder record window. The sharded
-//! evaluator ([`evaluate_disk_parallel`], also behind
-//! `EvalOptions::parallelism` on the `Session` surface) plans a frontier
-//! of disjoint subtree windows from the database's cached subtree
-//! extents (one backward metadata scan on first use;
-//! `arb_storage::ArbDatabase::subtree_extents` +
-//! [`arb_core::SubtreeIndex`]), then:
-//!
-//! * **phase 1** — N workers run the bottom-up automaton backwards over
-//!   their windows in parallel, each with its own lazy
-//!   [`QueryAutomata`], streaming *worker-local* state ids into disjoint
-//!   segments of one shared `.sta` file; the spine (the handful of split
-//!   ancestors) finishes sequentially on the master automata after the
-//!   workers' states are re-interned;
-//! * **phase 2** — the spine is annotated top-down first, then the same
-//!   workers descend their subtrees with forward range scans, reading
-//!   back their own `.sta` segments (their local ids are still
-//!   meaningful to them) and demultiplexing matches locally. When a
-//!   [`Phase2Hook`] needs the document order (marked-XML streaming),
-//!   phase 2 instead runs as one sequential forward scan that remaps
-//!   each segment's local ids through the master interner — phase 1
-//!   stays parallel.
-//!
-//! Results are identical to the sequential path; `EvalStats` scan
-//! counters report the real number of (range) scans opened.
+//! A [`Session`](crate::Session) picks the pairing from its
+//! [`Database`]'s backing (memory databases pair the tree with
+//! [`VecStore`]); the two raw-program fronts [`evaluate_disk`] and
+//! [`evaluate_disk_parallel`] serve harnesses and reference suites.
 
+use crate::database::{Database, EngineError};
 use crate::QueryOutcome;
-use arb_core::{AutomataPool, EvalStats, InternStats, QueryAutomata, SubtreeIndex};
-use arb_logic::{Atom, PredSet, PredSetId, PredSetView, ProgramId};
-use arb_storage::stafile::{StateFilePatcher, StateFileReader, StateFileWriter};
-use arb_storage::{
-    bottom_up_scan, top_down_scan, ArbDatabase, DownContext, ScratchPath, StaFormat,
+use arb_core::kernel::{
+    self, Demand, Evaluation, NoStore, RecordSource, StateReader, StateStore, StateWriter, VecStore,
 };
+use arb_core::{AutomataPool, SubtreeIndex};
+use arb_logic::{Atom, ProgramId};
+use arb_storage::stafile::{self, StateFilePatcher, StateFileReader, StateFileWriter};
+use arb_storage::{ArbDatabase, BackwardScan, ForwardScan, ScratchPath, StaFormat};
 use arb_tmnf::CoreProgram;
-use arb_tree::NodeSet;
-use std::collections::HashMap;
+use arb_tree::NodeInfo;
+use std::fs::File;
 use std::io;
-use std::time::{Duration, Instant};
+use std::path::Path;
 
-/// Per-node hook invoked during phase 2 (document order) with the node's
-/// record, its final true-predicate set (a borrowed view into the
-/// automata's arena), and one selected-flag per query group (one entry
-/// for a single query; one per input query of a batch) — the seam
-/// streaming consumers (e.g. [`crate::XmlMarkSink`]) plug into.
-pub type Phase2Hook<'a> = &'a mut dyn FnMut(u32, arb_storage::NodeRecord, PredSetView<'_>, &[bool]);
+/// An `.arb` database as the kernel's record source.
+pub struct DiskSource<'d>(pub &'d ArbDatabase);
 
-fn empty_db_err() -> io::Error {
-    io::Error::new(
-        io::ErrorKind::InvalidData,
-        "cannot evaluate a query on an empty database",
-    )
+impl RecordSource for DiskSource<'_> {
+    type Backward<'a>
+        = BackwardScan<File>
+    where
+        Self: 'a;
+    type Forward<'a>
+        = ForwardScan<File>
+    where
+        Self: 'a;
+
+    fn node_count(&self) -> u32 {
+        self.0.node_count()
+    }
+
+    fn backward(&self, lo: u32, hi: u32) -> io::Result<BackwardScan<File>> {
+        self.0.backward_scan_range(lo, hi)
+    }
+
+    fn forward(&self, lo: u32, hi: u32) -> io::Result<ForwardScan<File>> {
+        self.0.forward_scan_range(lo, hi)
+    }
+
+    fn record_at(&self, ix: u32) -> io::Result<NodeInfo> {
+        Ok(self.0.record_at(ix)?.info(ix))
+    }
+
+    /// From the database's cached extents: one metadata pass — no
+    /// automata work — on the handle's first sharded run, free afterwards.
+    fn subtree_index(&self) -> io::Result<(SubtreeIndex<'static>, u64)> {
+        let scans = u64::from(!self.0.extents_cached());
+        let x = self.0.subtree_extents()?;
+        Ok((
+            SubtreeIndex::from_parts(x.ends.clone(), x.kinds.clone()),
+            scans,
+        ))
+    }
+
+    fn format_version(&self) -> u8 {
+        self.0.format_version()
+    }
+
+    fn blocks_decoded(&self) -> u64 {
+        self.0.blocks_decoded()
+    }
 }
 
-/// Evaluates a TMNF program over a disk database by the two-phase
-/// algorithm. Pass a `hook` to observe every node's predicates in
-/// document order during phase 2 (e.g. to emit marked XML).
-pub fn evaluate_disk_with_hook(
+/// A `.sta` file of `n` states at `path` as the kernel's state store.
+pub struct StaStore<'p> {
+    path: &'p Path,
+    format: StaFormat,
+    n: u32,
+}
+
+impl<'p> StaStore<'p> {
+    /// A store streaming `n` states through `path` in `format`.
+    pub fn new(path: &'p Path, format: StaFormat, n: u32) -> Self {
+        StaStore { path, format, n }
+    }
+}
+
+/// [`StateFileWriter`] behind the kernel's writer trait.
+pub struct StaWriter(StateFileWriter);
+
+impl StateWriter for StaWriter {
+    #[inline]
+    fn write(&mut self, state: u32) -> io::Result<()> {
+        self.0.write_state(state)
+    }
+
+    fn finish(self) -> io::Result<u64> {
+        self.0.finish()
+    }
+}
+
+/// [`StateFileReader`] behind the kernel's reader trait.
+pub struct StaReader(StateFileReader);
+
+impl StateReader for StaReader {
+    #[inline]
+    fn read(&mut self) -> io::Result<u32> {
+        self.0.read_state()
+    }
+
+    fn decoded_bytes(&self) -> u64 {
+        self.0.decoded_bytes()
+    }
+}
+
+impl StateStore for StaStore<'_> {
+    type Writer<'a>
+        = StaWriter
+    where
+        Self: 'a;
+    type Reader<'a>
+        = StaReader
+    where
+        Self: 'a;
+
+    fn allocate(&self, n: u32) -> io::Result<u64> {
+        stafile::allocate(self.path, n as u64, self.format)
+    }
+
+    fn writer(&self, lo: u32, hi: u32) -> io::Result<StaWriter> {
+        Ok(StaWriter(if (lo, hi) == (0, self.n) {
+            StateFileWriter::create(self.path, self.n as u64, self.format)?
+        } else {
+            StateFileWriter::segment(self.path, lo as u64, hi as u64, self.format)?
+        }))
+    }
+
+    fn patch(&self, states: &[(u32, ProgramId)]) -> io::Result<u64> {
+        let mut p = StateFilePatcher::open(self.path, self.format)?;
+        for &(ix, s) in states {
+            p.write_state_at(ix as u64, s.0)?;
+        }
+        p.finish()
+    }
+
+    fn reader(&self, lo: u32) -> io::Result<StaReader> {
+        Ok(StaReader(StateFileReader::open_at(
+            self.path,
+            lo as u64,
+            self.format,
+        )?))
+    }
+}
+
+/// Runs the kernel over a [`Database`]'s backing: `.arb` scans paired
+/// with a scratch `.sta` file in `format` on disk, the tree paired with
+/// a [`VecStore`] in memory, and no store at all for a verdict-only run.
+/// The `.sta` scratch guard is returned alongside so a caller can keep
+/// the stream (standing queries do); dropping it deletes the file.
+pub(crate) fn run(
+    db: &Database,
     prog: &CoreProgram,
-    db: &ArbDatabase,
-    hook: Option<Phase2Hook<'_>>,
-) -> io::Result<QueryOutcome> {
-    let atoms: Vec<Atom> = prog.query_preds().iter().map(|&p| Atom::local(p)).collect();
-    let pool = AutomataPool::new();
-    let (mut outcome, _sets) =
-        evaluate_disk_grouped(prog, db, &[atoms], hook, StaFormat::from_env(), &pool)?;
-    stamp_pool(&mut outcome.stats, &pool);
-    Ok(outcome)
+    groups: &[Vec<Atom>],
+    demand: Demand<'_>,
+    threads: usize,
+    format: StaFormat,
+    pool: &AutomataPool,
+) -> Result<(Evaluation, Option<ScratchPath>), EngineError> {
+    let verdicts_only = matches!(demand, Demand::Verdicts);
+    Ok(match db.as_disk() {
+        Some(d) if verdicts_only => (
+            kernel::evaluate(
+                prog,
+                &DiskSource(d),
+                &NoStore,
+                groups,
+                demand,
+                threads,
+                pool,
+            )?,
+            None,
+        ),
+        Some(d) => {
+            let sta = d.scratch_sta();
+            let store = StaStore::new(sta.path(), format, d.node_count());
+            let run =
+                kernel::evaluate(prog, &DiskSource(d), &store, groups, demand, threads, pool)?;
+            (run, Some(sta))
+        }
+        None => {
+            let tree = db.snapshot_tree()?;
+            let run = if verdicts_only {
+                kernel::evaluate(prog, &*tree, &NoStore, groups, demand, threads, pool)?
+            } else {
+                let store = VecStore::new(tree.len() as u32);
+                kernel::evaluate(prog, &*tree, &store, groups, demand, threads, pool)?
+            };
+            (run, None)
+        }
+    })
 }
 
-/// [`evaluate_disk_with_hook`] without a hook.
+/// Evaluates a raw TMNF program over a disk database by the two-phase
+/// algorithm — the harness front of the kernel (product code prepares a
+/// [`Session`](crate::Session)). The `.sta` layout follows
+/// `ARB_STA_FORMAT`.
 pub fn evaluate_disk(prog: &CoreProgram, db: &ArbDatabase) -> io::Result<QueryOutcome> {
-    evaluate_disk_with_hook(prog, db, None)
+    evaluate_disk_parallel(prog, db, 1)
 }
 
-/// [`evaluate_disk`] sharded over `threads` workers (see the module docs
-/// for the algorithm). Identical results; falls back to the sequential
-/// path when `threads <= 1` or the tree admits no useful frontier
-/// (tiny or degenerate right-deep documents).
+/// [`evaluate_disk`] sharded over `threads` workers (paper §6.2 on disk:
+/// per-window range scans and `.sta` segments). Identical results;
+/// `threads <= 1` or a document with no useful frontier (tiny or
+/// degenerate right-deep) is the one-window plan.
 pub fn evaluate_disk_parallel(
     prog: &CoreProgram,
     db: &ArbDatabase,
     threads: usize,
 ) -> io::Result<QueryOutcome> {
-    let atoms: Vec<Atom> = prog.query_preds().iter().map(|&p| Atom::local(p)).collect();
-    let pool = AutomataPool::new();
-    let (mut outcome, _sets) = evaluate_disk_grouped_parallel(
+    let query: Vec<Atom> = prog.query_preds().iter().map(|&p| Atom::local(p)).collect();
+    let sta = db.scratch_sta();
+    let store = StaStore::new(sta.path(), StaFormat::from_env(), db.node_count());
+    let mut run = kernel::evaluate(
         prog,
-        db,
-        &[atoms],
-        None,
+        &DiskSource(db),
+        &store,
+        &[query],
+        Demand::Sets,
         threads,
-        StaFormat::from_env(),
-        &pool,
+        &AutomataPool::new(),
     )?;
-    stamp_pool(&mut outcome.stats, &pool);
-    Ok(outcome)
-}
-
-/// Fills the automata-lifecycle columns of `stats` from a pool's
-/// lifetime counters — correct for the one-shot wrappers above, whose
-/// pool is born with the run. Callers that keep a pool across runs
-/// (the `Session` surface) stamp per-run counter *deltas* instead.
-fn stamp_pool(stats: &mut EvalStats, pool: &AutomataPool) {
-    stats.automata_builds = pool.builds();
-    stats.automata_reused = pool.reused();
-    stats.automata_build_time = pool.build_time();
-}
-
-/// The sequential phase-2 pass: one forward record scan in lockstep with
-/// a per-node state stream (`next_state`, called exactly once per node in
-/// preorder), demultiplexing into per-group node sets and flattened
-/// per-atom counts, feeding `hook` in document order.
-///
-/// Once a state read fails, the pass stops feeding the automaton, the
-/// demux and the hook entirely — a fabricated `PredSetId(0)` annotation
-/// must never reach sinks (the original code kept streaming such records
-/// into `Phase2Hook` consumers until EOF after an I/O error).
-fn phase2_sequential(
-    qa: &mut QueryAutomata,
-    db: &ArbDatabase,
-    root_state: ProgramId,
-    groups: &[Vec<Atom>],
-    mut next_state: impl FnMut(u32) -> io::Result<u32>,
-    hook: &mut Option<Phase2Hook<'_>>,
-) -> io::Result<(Vec<u64>, Vec<NodeSet>)> {
-    let n = db.node_count();
-    let mut scan = db.forward_scan()?;
-    let total_atoms: usize = groups.iter().map(Vec::len).sum();
-    let mut per_pred_counts = vec![0u64; total_atoms];
-    let mut group_sets: Vec<NodeSet> = (0..groups.len())
-        .map(|_| NodeSet::new(n as usize))
-        .collect();
-    let mut flags = vec![false; groups.len()];
-    let mut io_err: Option<io::Error> = None;
-    let start = qa.start_state(root_state);
-    top_down_scan(&mut scan, |ctx, rec, ix| -> PredSetId {
-        if io_err.is_some() {
-            // A state read already failed: the fold value below is
-            // fabricated, so nothing downstream may consume it.
-            return PredSetId(0);
-        }
-        // The child's phase-1 state, in preorder lockstep with the scan.
-        let rho_a = match next_state(ix) {
-            Ok(s) => ProgramId(s),
-            Err(e) => {
-                io_err.get_or_insert(e);
-                return PredSetId(0);
-            }
-        };
-        let state = match ctx {
-            DownContext::Root => {
-                debug_assert_eq!(rho_a, root_state);
-                start
-            }
-            DownContext::Child(parent, k) => qa.top_down(parent, rho_a, k),
-        };
-        let set = qa.predsets.get(state);
-        crate::batch::demux_node(
-            set,
-            groups,
-            &mut per_pred_counts,
-            &mut group_sets,
-            ix,
-            &mut flags,
-        );
-        if let Some(h) = hook.as_mut() {
-            h(ix, rec, set, &flags);
-        }
-        state
-    })?;
-    if let Some(e) = io_err {
-        return Err(e);
-    }
-    Ok((per_pred_counts, group_sets))
-}
-
-/// Collapses per-group node sets into the union `selected` set; a lone
-/// group is moved rather than copied (its set *is* the union) and the
-/// returned group vector is empty.
-fn union_groups(group_sets: Vec<NodeSet>, n: u32) -> (NodeSet, Vec<NodeSet>) {
-    if group_sets.len() == 1 {
-        (
-            group_sets.into_iter().next().expect("one group"),
-            Vec::new(),
-        )
-    } else {
-        let mut union = NodeSet::new(n as usize);
-        for s in &group_sets {
-            union.union_with(s);
-        }
-        (union, group_sets)
-    }
-}
-
-/// The shared two-scan kernel, generalized over *groups* of query atoms
-/// (one group per query of a batch; a single query is one group): every
-/// atom is tested exactly once per node during the phase-2 scan, feeding
-/// both the flattened `per_pred_counts` and one selected-node set per
-/// group — this is what makes batch demultiplexing free.
-///
-/// With exactly one group, its node set *is* the union: it is moved into
-/// `outcome.selected` and the returned group vector is empty (no
-/// duplicate bitset on the single-query path).
-pub(crate) fn evaluate_disk_grouped(
-    prog: &CoreProgram,
-    db: &ArbDatabase,
-    groups: &[Vec<Atom>],
-    mut hook: Option<Phase2Hook<'_>>,
-    format: StaFormat,
-    pool: &AutomataPool,
-) -> io::Result<(QueryOutcome, Vec<NodeSet>)> {
-    let n = db.node_count();
-    if n == 0 {
-        return Err(empty_db_err());
-    }
-    let mut qa = pool.take(prog);
-    // One uniquely named scratch stream per run: concurrent evaluations
-    // of the same database must never share a `.sta` path.
-    let sta = db.scratch_sta();
-    // Scans this evaluation opened, counted at the open sites below so
-    // the Proposition 5.1 claim (one each) is measured, not assumed.
-    let mut backward_scans = 0u64;
-    let mut forward_scans = 0u64;
-    let blocks0 = db.blocks_decoded();
-
-    // --- Phase 1: backward scan, bottom-up automaton, stream states -----
-    let t1 = Instant::now();
-    let mut scan = db.backward_scan()?;
-    backward_scans += 1;
-    let mut sta_w = StateFileWriter::create(sta.path(), n as u64, format)?;
-    let mut sta_err: Option<io::Error> = None;
-    let root_state = bottom_up_scan(&mut scan, |s1: Option<ProgramId>, s2, rec, ix| {
-        let s = qa.bottom_up(s1, s2, rec.info(ix));
-        if let Err(e) = sta_w.write_state(s.0) {
-            sta_err.get_or_insert(e);
-        }
-        s
-    })?;
-    if let Some(e) = sta_err {
-        return Err(e);
-    }
-    let sta_encoded_bytes = sta_w.finish()?;
-    let phase1_time = t1.elapsed();
-
-    // --- Phase 2: forward scan, top-down automaton ----------------------
-    let t2 = Instant::now();
-    let mut sta_r = StateFileReader::open(sta.path(), format)?;
-    let (per_pred_counts, group_sets) = phase2_sequential(
-        &mut qa,
-        db,
-        root_state,
-        groups,
-        |_| sta_r.read_state(),
-        &mut hook,
-    )?;
-    let sta_decoded_bytes = sta_r.decoded_bytes();
-    forward_scans += 1;
-    let phase2_time = t2.elapsed();
-
-    let (selected, group_sets) = union_groups(group_sets, n);
-    let stats = EvalStats {
-        idb_count: prog.pred_count(),
-        rule_count: prog.rule_count(),
-        phase1_time,
-        phase1_transitions: qa.bu_transitions,
-        phase2_time,
-        phase2_transitions: qa.td_transitions,
-        selected: selected.count() as u64,
-        memory_bytes: qa.memory_bytes(),
-        bu_states: qa.bu_state_count(),
-        td_states: qa.td_state_count(),
-        nodes: n as u64,
-        backward_scans,
-        forward_scans,
-        sta_encoded_bytes,
-        sta_decoded_bytes,
-        db_format: db.format_version(),
-        blocks_decoded: db.blocks_decoded() - blocks0,
-        batch_size: 0,
-        queue_wait: Duration::ZERO,
-        automata_builds: 0,
-        automata_reused: 0,
-        automata_build_time: Duration::ZERO,
-        interning: qa.intern_stats(),
-        dirty_nodes: 0,
-        retained_sta_blocks: 0,
-        refreshes: 0,
-    };
-    pool.put(qa);
-    Ok((
-        QueryOutcome {
-            stats,
-            selected,
-            per_pred_counts,
-        },
-        group_sets,
-    ))
-}
-
-/// One phase-1 worker's output, carried across to phase 2: its lazy
-/// automata (whose program table gives the worker's `.sta` segments
-/// their meaning) and, per assigned frontier root, the worker-local
-/// state id the subtree folded to.
-struct ShardWorker {
-    wqa: QueryAutomata,
-    /// `(root, worker-local root state)` per assigned subtree.
-    roots: Vec<(u32, u32)>,
-    /// Encoded bytes this worker's `.sta` segments occupy.
-    sta_encoded: u64,
-}
-
-/// Everything the sharded phase 1 produces.
-struct ShardedPhase1<'d> {
-    /// Master automata: workers' states re-interned, spine evaluated.
-    qa: QueryAutomata,
-    workers: Vec<ShardWorker>,
-    /// Per worker: local program id → master program id.
-    remaps: Vec<Vec<ProgramId>>,
-    idx: SubtreeIndex<'d>,
-    /// Spine nodes (everything outside the frontier subtrees), preorder.
-    spine: Vec<u32>,
-    /// Master phase-1 states of spine nodes.
-    spine_a: HashMap<u32, ProgramId>,
-    /// Master phase-1 states of the frontier roots.
-    root_a: HashMap<u32, ProgramId>,
-    /// The document root's phase-1 state.
-    root_state: ProgramId,
-    backward_scans: u64,
-    phase1_time: Duration,
-    /// Σ workers' lazily computed bottom-up transitions.
-    worker_bu: u64,
-    /// Encoded `.sta` bytes phase 1 put on disk (manifest + segments +
-    /// spine patches); 0 when no state stream was requested.
-    sta_encoded_bytes: u64,
-}
-
-/// Runs the sharded phase 1: plans the frontier with one backward
-/// metadata scan, fans the bottom-up pass out over `threads` workers on
-/// disjoint subtree record windows (streaming worker-local state ids
-/// into disjoint segments of `sta`, when given), finishes the spine
-/// sequentially on the master automata. Returns `None` when `threads`
-/// or the tree shape make sharding pointless — callers fall back to the
-/// sequential path.
-fn sharded_phase1<'d>(
-    prog: &CoreProgram,
-    db: &'d ArbDatabase,
-    threads: usize,
-    sta: Option<(&ScratchPath, StaFormat)>,
-    pool: &AutomataPool,
-) -> io::Result<Option<ShardedPhase1<'d>>> {
-    let n = db.node_count();
-    if n == 0 {
-        return Err(empty_db_err());
-    }
-    if threads <= 1 {
-        return Ok(None);
-    }
-    // The upper clamp keeps absurd requests from allocating per-worker
-    // state for millions of threads (or overflowing `threads * 4`).
-    let threads = threads.min(1024);
-    let t1 = Instant::now();
-    let mut backward_scans = 0u64;
-
-    // Plan: the frontier windows, from the database's cached subtree
-    // extents (one metadata scan — no automata work — on the handle's
-    // first sharded run; free afterwards).
-    let idx = {
-        let cached = db.extents_cached();
-        let x = db.subtree_extents()?;
-        if !cached {
-            backward_scans += 1;
-        }
-        SubtreeIndex::from_parts(x.ends.clone(), x.kinds.clone())
-    };
-    let roots = idx.frontier(threads * 4);
-    if roots.len() <= 1 {
-        // No useful frontier (tiny or degenerate tree).
-        return Ok(None);
-    }
-    let mut sta_encoded_bytes = 0u64;
-    if let Some((sta, format)) = sta {
-        sta_encoded_bytes += arb_storage::stafile::allocate(sta.path(), n as u64, format)?;
-    }
-
-    // Round-robin the frontier subtrees over the workers.
-    let chunks: Vec<Vec<u32>> = {
-        let workers = threads.min(roots.len());
-        let mut cs: Vec<Vec<u32>> = vec![Vec::new(); workers];
-        for (i, &r) in roots.iter().enumerate() {
-            cs[i % workers].push(r);
-        }
-        cs
-    };
-
-    let results: Vec<io::Result<ShardWorker>> = crossbeam::thread::scope(|scope| {
-        let handles: Vec<_> = chunks
-            .iter()
-            .map(|mine| {
-                let idx = &idx;
-                scope.spawn(move |_| -> io::Result<ShardWorker> {
-                    let mut wqa = pool.take(prog);
-                    let mut out = Vec::with_capacity(mine.len());
-                    let mut sta_encoded = 0u64;
-                    for &r in mine {
-                        let hi = idx.end(r);
-                        let mut scan = db.backward_scan_range(r, hi)?;
-                        let mut seg = match sta {
-                            Some((s, format)) => Some(StateFileWriter::segment(
-                                s.path(),
-                                r as u64,
-                                hi as u64,
-                                format,
-                            )?),
-                            None => None,
-                        };
-                        let mut werr: Option<io::Error> = None;
-                        let root_state =
-                            bottom_up_scan(&mut scan, |s1: Option<ProgramId>, s2, rec, ix| {
-                                let s = wqa.bottom_up(s1, s2, rec.info(ix));
-                                if let Some(seg) = seg.as_mut() {
-                                    if let Err(e) = seg.write_state(s.0) {
-                                        werr.get_or_insert(e);
-                                    }
-                                }
-                                s
-                            })?;
-                        if let Some(e) = werr {
-                            return Err(e);
-                        }
-                        if let Some(seg) = seg {
-                            sta_encoded += seg.finish()?;
-                        }
-                        out.push((r, root_state.0));
-                    }
-                    Ok(ShardWorker {
-                        wqa,
-                        roots: out,
-                        sta_encoded,
-                    })
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("phase-1 worker panicked"))
-            .collect()
+    Ok(QueryOutcome {
+        stats: run.stats,
+        selected: run.sets.remove(0),
+        per_pred_counts: run.counts,
     })
-    .expect("thread scope failed");
-    let workers: Vec<ShardWorker> = results.into_iter().collect::<io::Result<_>>()?;
-    backward_scans += roots.len() as u64;
-    sta_encoded_bytes += workers.iter().map(|w| w.sta_encoded).sum::<u64>();
-
-    // Re-intern the workers' states into the master automata — by
-    // reference, so states several workers discovered independently are
-    // cloned at most once. Master and workers all come from the pool,
-    // so a repeated run starts with every table warm.
-    let mut qa = pool.take(prog);
-    let remaps: Vec<Vec<ProgramId>> = workers
-        .iter()
-        .map(|w| {
-            (0..w.wqa.programs.len() as u32)
-                .map(|i| qa.programs.intern_ref(w.wqa.programs.get(ProgramId(i))))
-                .collect()
-        })
-        .collect();
-    let mut root_a: HashMap<u32, ProgramId> = HashMap::new();
-    for (wi, w) in workers.iter().enumerate() {
-        for &(r, local) in &w.roots {
-            root_a.insert(r, remaps[wi][local as usize]);
-        }
-    }
-    let worker_bu: u64 = workers.iter().map(|w| w.wqa.bu_transitions).sum();
-
-    // Sequential spine (≤ frontier-target nodes): children of spine
-    // nodes are spine nodes or frontier roots, so reverse preorder has
-    // every child state at hand. Spine states are written to the shared
-    // state file as *master* ids.
-    let spine = idx.spine(&roots);
-    debug_assert!(spine.contains(&0), "the document root is a split node");
-    let mut patch = match sta {
-        Some((s, format)) => Some(StateFilePatcher::open(s.path(), format)?),
-        None => None,
-    };
-    let mut spine_a: HashMap<u32, ProgramId> = HashMap::new();
-    for &v in spine.iter().rev() {
-        let rec = db.record_at(v)?;
-        let state_of =
-            |c: u32| -> ProgramId { spine_a.get(&c).copied().unwrap_or_else(|| root_a[&c]) };
-        let s1 = idx.first_child(v).map(state_of);
-        let s2 = idx.second_child(v).map(state_of);
-        let s = qa.bottom_up(s1, s2, rec.info(v));
-        spine_a.insert(v, s);
-        if let Some(p) = patch.as_mut() {
-            p.write_state_at(v as u64, s.0)?;
-        }
-    }
-    let root_state = spine_a[&0];
-    if let Some(p) = patch {
-        sta_encoded_bytes += p.finish()?;
-    }
-    Ok(Some(ShardedPhase1 {
-        qa,
-        workers,
-        remaps,
-        idx,
-        spine,
-        spine_a,
-        root_a,
-        root_state,
-        backward_scans,
-        phase1_time: t1.elapsed(),
-        worker_bu,
-        sta_encoded_bytes,
-    }))
-}
-
-/// [`evaluate_disk_grouped`] sharded over `threads` workers. Phase 1
-/// always shards; phase 2 shards too unless a `hook` needs the document
-/// order, in which case it runs as one sequential forward scan over the
-/// (sharded-written) state file. Falls back to the sequential kernel
-/// when no useful frontier exists. Results are identical either way.
-pub(crate) fn evaluate_disk_grouped_parallel(
-    prog: &CoreProgram,
-    db: &ArbDatabase,
-    groups: &[Vec<Atom>],
-    mut hook: Option<Phase2Hook<'_>>,
-    threads: usize,
-    format: StaFormat,
-    pool: &AutomataPool,
-) -> io::Result<(QueryOutcome, Vec<NodeSet>)> {
-    let n = db.node_count();
-    let sta = db.scratch_sta();
-    let blocks0 = db.blocks_decoded();
-    let p1 = match sharded_phase1(prog, db, threads, Some((&sta, format)), pool)? {
-        Some(p1) => p1,
-        None => return evaluate_disk_grouped(prog, db, groups, hook, format, pool),
-    };
-    let ShardedPhase1 {
-        mut qa,
-        workers,
-        remaps,
-        idx,
-        spine,
-        spine_a,
-        root_a,
-        root_state,
-        backward_scans,
-        phase1_time,
-        worker_bu,
-        sta_encoded_bytes,
-    } = p1;
-    let mut forward_scans = 0u64;
-    let total_atoms: usize = groups.iter().map(Vec::len).sum();
-
-    let t2 = Instant::now();
-    let (per_pred_counts, group_sets, worker_td, worker_mem, worker_intern, sta_decoded_bytes) =
-        if hook.is_some() {
-            // Streaming consumers need preorder: sequential phase 2 over the
-            // whole file, remapping each segment's worker-local ids through
-            // the master interner (spine slots already hold master ids).
-            let mut ranges: Vec<(u32, u32, usize)> = Vec::new();
-            for (wi, w) in workers.iter().enumerate() {
-                for &(r, _) in &w.roots {
-                    ranges.push((r, idx.end(r), wi));
-                }
-            }
-            ranges.sort_unstable();
-            let worker_mem: usize = workers.iter().map(|w| w.wqa.memory_bytes()).sum();
-            let mut worker_intern = InternStats::default();
-            for w in &workers {
-                worker_intern.absorb(&w.wqa.intern_stats());
-            }
-            let mut sta_r = StateFileReader::open(sta.path(), format)?;
-            let mut cursor = 0usize;
-            let (counts, sets) = phase2_sequential(
-                &mut qa,
-                db,
-                root_state,
-                groups,
-                |ix| {
-                    let raw = sta_r.read_state()?;
-                    while cursor < ranges.len() && ix >= ranges[cursor].1 {
-                        cursor += 1;
-                    }
-                    Ok(match ranges.get(cursor) {
-                        Some(&(lo, _, wi)) if ix >= lo => remaps[wi][raw as usize].0,
-                        _ => raw, // spine slot: already a master id
-                    })
-                },
-                &mut hook,
-            )?;
-            forward_scans += 1;
-            let decoded = sta_r.decoded_bytes();
-            // Phase 2 never stepped the workers here, but their warm
-            // phase-1 tables are still worth keeping for the next run.
-            for w in workers {
-                pool.put(w.wqa);
-            }
-            (counts, sets, 0u64, worker_mem, worker_intern, decoded)
-        } else {
-            // Sharded phase 2: spine first (it hands each frontier root its
-            // predicate set), then the same workers descend their subtrees
-            // reading back their own `.sta` segments.
-            let start = qa.start_state(root_state);
-            let mut spine_b: HashMap<u32, PredSetId> = HashMap::new();
-            let mut root_b: HashMap<u32, PredSetId> = HashMap::new();
-            spine_b.insert(0, start);
-            for &v in &spine {
-                let q = spine_b[&v];
-                for (k, c) in [(1u8, idx.first_child(v)), (2, idx.second_child(v))] {
-                    let Some(c) = c else { continue };
-                    let a = spine_a.get(&c).copied().unwrap_or_else(|| root_a[&c]);
-                    let ps = qa.top_down(q, a, k);
-                    if spine_a.contains_key(&c) {
-                        spine_b.insert(c, ps);
-                    } else {
-                        root_b.insert(c, ps);
-                    }
-                }
-            }
-
-            // Demux the spine nodes on the master.
-            let mut per_pred_counts = vec![0u64; total_atoms];
-            let mut group_sets: Vec<NodeSet> = (0..groups.len())
-                .map(|_| NodeSet::new(n as usize))
-                .collect();
-            let mut flags = vec![false; groups.len()];
-            for &v in &spine {
-                let set = qa.predsets.get(spine_b[&v]);
-                crate::batch::demux_node(
-                    set,
-                    groups,
-                    &mut per_pred_counts,
-                    &mut group_sets,
-                    v,
-                    &mut flags,
-                );
-            }
-
-            // Workers: per-subtree forward range scan + segment read. Their
-            // phase-1 program tables give the raw segment ids meaning, so no
-            // remap is needed inside a worker. Selections are collected in
-            // *window-sized* bitsets indexed relative to the subtree root —
-            // the windows are disjoint, so all workers together hold at most
-            // one document's worth of bits per group (a full-document set
-            // per worker would multiply result memory by the worker count).
-            type WindowSets = (u32, Vec<NodeSet>);
-            type P2Out = (Vec<u64>, Vec<WindowSets>, u64, QueryAutomata);
-            let master_predsets = &qa.predsets;
-            let root_b = &root_b;
-            let subtree_count: u64 = workers.iter().map(|w| w.roots.len() as u64).sum();
-            let results: Vec<io::Result<P2Out>> = crossbeam::thread::scope(|scope| {
-                let handles: Vec<_> = workers
-                    .into_iter()
-                    .map(|w| {
-                        let idx = &idx;
-                        let sta_path = sta.path();
-                        scope.spawn(move |_| -> io::Result<P2Out> {
-                            let ShardWorker { mut wqa, roots, .. } = w;
-                            let mut counts = vec![0u64; total_atoms];
-                            let mut windows: Vec<WindowSets> = Vec::with_capacity(roots.len());
-                            let mut flags = vec![false; groups.len()];
-                            let mut decoded = 0u64;
-                            for &(r, local_root) in &roots {
-                                let hi = idx.end(r);
-                                let mut sets: Vec<NodeSet> = (0..groups.len())
-                                    .map(|_| NodeSet::new((hi - r) as usize))
-                                    .collect();
-                                let mut scan = db.forward_scan_range(r, hi)?;
-                                let mut sta_r =
-                                    StateFileReader::open_at(sta_path, r as u64, format)?;
-                                // The root's predicate set comes from the master.
-                                let q0 = wqa
-                                    .predsets
-                                    .intern_sorted(master_predsets.get(root_b[&r]).atoms());
-                                let mut io_err: Option<io::Error> = None;
-                                top_down_scan(&mut scan, |ctx, _rec, ix| -> PredSetId {
-                                    if io_err.is_some() {
-                                        return PredSetId(0);
-                                    }
-                                    let rho = match sta_r.read_state() {
-                                        Ok(raw) => ProgramId(raw),
-                                        Err(e) => {
-                                            io_err.get_or_insert(e);
-                                            return PredSetId(0);
-                                        }
-                                    };
-                                    let state = match ctx {
-                                        DownContext::Root => {
-                                            debug_assert_eq!(
-                                                rho.0, local_root,
-                                                "segment misaligned"
-                                            );
-                                            q0
-                                        }
-                                        DownContext::Child(parent, k) => {
-                                            wqa.top_down(parent, rho, k)
-                                        }
-                                    };
-                                    let set = wqa.predsets.get(state);
-                                    crate::batch::demux_node(
-                                        set,
-                                        groups,
-                                        &mut counts,
-                                        &mut sets,
-                                        ix - r, // window-relative
-                                        &mut flags,
-                                    );
-                                    state
-                                })?;
-                                if let Some(e) = io_err {
-                                    return Err(e);
-                                }
-                                decoded += sta_r.decoded_bytes();
-                                windows.push((r, sets));
-                            }
-                            Ok((counts, windows, decoded, wqa))
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("phase-2 worker panicked"))
-                    .collect()
-            })
-            .expect("thread scope failed");
-            forward_scans += subtree_count;
-
-            let mut worker_td = 0u64;
-            let mut worker_mem = 0usize;
-            let mut worker_intern = InternStats::default();
-            let mut decoded = 0u64;
-            for res in results {
-                let (counts, windows, dec, wqa) = res?;
-                for (acc, c) in per_pred_counts.iter_mut().zip(counts) {
-                    *acc += c;
-                }
-                for (r, sets) in windows {
-                    for (acc, s) in group_sets.iter_mut().zip(&sets) {
-                        for v in s.iter() {
-                            acc.insert(arb_tree::NodeId(r + v.0));
-                        }
-                    }
-                }
-                worker_td += wqa.td_transitions;
-                worker_mem += wqa.memory_bytes();
-                worker_intern.absorb(&wqa.intern_stats());
-                decoded += dec;
-                // Back to the pool: the next run's phase-1 workers
-                // inherit both phases' memoized tables.
-                pool.put(wqa);
-            }
-            (
-                per_pred_counts,
-                group_sets,
-                worker_td,
-                worker_mem,
-                worker_intern,
-                decoded,
-            )
-        };
-    let phase2_time = t2.elapsed();
-
-    let (selected, group_sets) = union_groups(group_sets, n);
-    let stats = EvalStats {
-        idb_count: prog.pred_count(),
-        rule_count: prog.rule_count(),
-        phase1_time,
-        phase1_transitions: qa.bu_transitions + worker_bu,
-        phase2_time,
-        phase2_transitions: qa.td_transitions + worker_td,
-        selected: selected.count() as u64,
-        // Peak automata memory across master and workers.
-        memory_bytes: qa.memory_bytes() + worker_mem,
-        bu_states: qa.bu_state_count(),
-        td_states: qa.td_state_count(),
-        nodes: n as u64,
-        backward_scans,
-        forward_scans,
-        sta_encoded_bytes,
-        sta_decoded_bytes,
-        db_format: db.format_version(),
-        blocks_decoded: db.blocks_decoded() - blocks0,
-        batch_size: 0,
-        queue_wait: Duration::ZERO,
-        automata_builds: 0,
-        automata_reused: 0,
-        automata_build_time: Duration::ZERO,
-        interning: {
-            let mut i = qa.intern_stats();
-            i.absorb(&worker_intern);
-            i
-        },
-        dirty_nodes: 0,
-        retained_sta_blocks: 0,
-        refreshes: 0,
-    };
-    pool.put(qa);
-    Ok((
-        QueryOutcome {
-            stats,
-            selected,
-            per_pred_counts,
-        },
-        group_sets,
-    ))
-}
-
-/// Evaluates a **boolean** query — "accept or reject an entire XML
-/// document on the grounds of its contents" (paper §1, the \[12, 3\]
-/// document-filtering setting): does the query predicate hold at the
-/// root?
-///
-/// Only the bottom-up phase is needed: the root's residual program
-/// already carries all constraints of the whole tree, so the answer is a
-/// membership test on its facts. One backward linear scan, no `.sta`
-/// file.
-pub fn evaluate_boolean(prog: &CoreProgram, db: &ArbDatabase) -> io::Result<bool> {
-    let set = root_true_preds(prog, db, &AutomataPool::new())?;
-    Ok(prog
-        .query_preds()
-        .iter()
-        .any(|&p| set.contains(Atom::local(p))))
-}
-
-/// The set of predicates true at the root, computed with a single
-/// backward scan and no `.sta` file — the shared kernel of boolean
-/// (document-filtering) evaluation, single-query and batched.
-pub(crate) fn root_true_preds(
-    prog: &CoreProgram,
-    db: &ArbDatabase,
-    pool: &AutomataPool,
-) -> io::Result<PredSet> {
-    if db.node_count() == 0 {
-        return Err(empty_db_err());
-    }
-    let mut qa = pool.take(prog);
-    let mut scan = db.backward_scan()?;
-    let root_state = bottom_up_scan(&mut scan, |s1: Option<ProgramId>, s2, rec, ix| {
-        qa.bottom_up(s1, s2, rec.info(ix))
-    })?;
-    let start = qa.start_state(root_state);
-    let set = qa.predsets.get(start).to_owned();
-    pool.put(qa);
-    Ok(set)
-}
-
-/// [`root_true_preds`] with the backward pass sharded over `threads`
-/// workers — the boolean (document-filtering) fast path of sharded
-/// evaluation: still no `.sta` file, since only the root's facts matter.
-pub(crate) fn root_true_preds_parallel(
-    prog: &CoreProgram,
-    db: &ArbDatabase,
-    threads: usize,
-    pool: &AutomataPool,
-) -> io::Result<PredSet> {
-    match sharded_phase1(prog, db, threads, None, pool)? {
-        None => root_true_preds(prog, db, pool),
-        Some(mut p1) => {
-            let start = p1.qa.start_state(p1.root_state);
-            let set = p1.qa.predsets.get(start).to_owned();
-            pool.put(p1.qa);
-            for w in p1.workers {
-                pool.put(w.wqa);
-            }
-            Ok(set)
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use arb_core::kernel::Visit;
     use arb_storage::create::create_from_xml;
     use arb_tmnf::{naive, normalize, parse_program};
-
     use arb_xml::XmlConfig;
     use std::io::Cursor;
     use std::path::PathBuf;
@@ -948,22 +308,47 @@ mod tests {
         assert!(outcome.stats.sta_encoded_bytes > 0);
     }
 
+    /// `QUERY`-headed program compiled against `db`'s labels, with its
+    /// query atoms as the kernel's one group.
+    fn query(db: &ArbDatabase, src: &str) -> (CoreProgram, Vec<Vec<Atom>>) {
+        let mut labels = db.labels().clone();
+        let mut prog = normalize(&parse_program(src, &mut labels).unwrap());
+        let q = prog.pred_id("QUERY").unwrap();
+        prog.add_query_pred(q);
+        (prog, vec![vec![Atom::local(q)]])
+    }
+
+    /// One kernel run over `db` with a scratch `.sta` store, streaming
+    /// `(ix, flags[0])` per node.
+    fn stream(
+        db: &ArbDatabase,
+        prog: &CoreProgram,
+        groups: &[Vec<Atom>],
+        threads: usize,
+    ) -> (Evaluation, Vec<(u32, bool)>) {
+        let mut seen = Vec::new();
+        let mut hook = |v: &Visit<'_>| seen.push((v.ix, v.selected_by[0]));
+        let sta = db.scratch_sta();
+        let store = StaStore::new(sta.path(), StaFormat::from_env(), db.node_count());
+        let run = kernel::evaluate(
+            prog,
+            &DiskSource(db),
+            &store,
+            groups,
+            Demand::Stream(&mut hook),
+            threads,
+            &AutomataPool::new(),
+        )
+        .unwrap();
+        (run, seen)
+    }
+
     #[test]
     fn hook_sees_every_node_in_document_order() {
         let db = mkdb("<a><b/><c/></a>", "m2.arb");
-        let mut labels = db.labels().clone();
-        let ast = parse_program("QUERY :- Root;", &mut labels).unwrap();
-        let mut prog = normalize(&ast);
-        prog.add_query_pred(prog.pred_id("QUERY").unwrap());
-        let mut seen = Vec::new();
-        let mut hook = |ix: u32,
-                        _rec: arb_storage::NodeRecord,
-                        _s: arb_logic::PredSetView<'_>,
-                        _f: &[bool]| {
-            seen.push(ix);
-        };
-        evaluate_disk_with_hook(&prog, &db, Some(&mut hook)).unwrap();
-        assert_eq!(seen, vec![0, 1, 2]);
+        let (prog, groups) = query(&db, "QUERY :- Root;");
+        let (_, seen) = stream(&db, &prog, &groups, 1);
+        assert_eq!(seen, vec![(0, true), (1, false), (2, false)]);
     }
 
     /// A generated document big enough to admit a frontier (the frontier
@@ -1037,207 +422,176 @@ mod tests {
     }
 
     /// The sharded evaluator with a streaming hook still delivers every
-    /// node exactly once in document order (phase 2 degrades to one
-    /// sequential scan; phase 1 stays sharded).
+    /// node exactly once in document order (the fold down runs as one
+    /// window on the master; the fold up stays sharded).
     #[test]
     fn sharded_hook_preserves_document_order() {
         let db = balanced_db("shard2.arb");
-        let mut labels = db.labels().clone();
-        let ast = parse_program("QUERY :- V.Label[a];", &mut labels).unwrap();
-        let mut prog = normalize(&ast);
-        prog.add_query_pred(prog.pred_id("QUERY").unwrap());
-
-        let mut seq_flags = Vec::new();
-        let mut hook =
-            |ix: u32, _rec: arb_storage::NodeRecord, _s: arb_logic::PredSetView<'_>, f: &[bool]| {
-                seq_flags.push((ix, f[0]));
-            };
-        evaluate_disk_with_hook(&prog, &db, Some(&mut hook)).unwrap();
-
-        let mut par_flags = Vec::new();
-        let mut hook =
-            |ix: u32, _rec: arb_storage::NodeRecord, _s: arb_logic::PredSetView<'_>, f: &[bool]| {
-                par_flags.push((ix, f[0]));
-            };
-        let atoms: Vec<Atom> = prog.query_preds().iter().map(|&p| Atom::local(p)).collect();
-        let (par, _) = evaluate_disk_grouped_parallel(
-            &prog,
-            &db,
-            &[atoms],
-            Some(&mut hook),
-            4,
-            StaFormat::from_env(),
-            &AutomataPool::new(),
-        )
-        .unwrap();
+        let (prog, groups) = query(&db, "QUERY :- V.Label[a];");
+        let (seq, seq_flags) = stream(&db, &prog, &groups, 1);
+        let (par, par_flags) = stream(&db, &prog, &groups, 4);
         assert_eq!(par_flags, seq_flags);
+        assert_eq!(par.counts, seq.counts);
+        assert!(par.stats.backward_scans > 1, "the fold up stays sharded");
         assert_eq!(par.stats.forward_scans, 1, "hook mode scans forward once");
     }
 
-    /// The boolean fast path shards phase 1 and agrees with the
-    /// sequential verdict.
+    /// The verdict-only run shards the single backward pass, keeps no
+    /// state stream, and agrees with the sequential verdict.
     #[test]
     fn sharded_boolean_matches_sequential() {
         let db = balanced_db("shard3.arb");
-        let mut labels = db.labels().clone();
         for src in [
             "QUERY :- Root, HasFirstChild;",
             "Deep :- V.Label[a].invFirstChild.invNextSibling*.invFirstChild;\nQUERY :- Root, Deep;",
             "QUERY :- Root, Leaf;",
         ] {
-            let ast = parse_program(src, &mut labels).unwrap();
-            let mut prog = normalize(&ast);
-            let q = prog.pred_id("QUERY").unwrap();
-            prog.add_query_pred(q);
-            let seq = evaluate_boolean(&prog, &db).unwrap();
-            let par_set = root_true_preds_parallel(&prog, &db, 4, &AutomataPool::new()).unwrap();
-            let par = prog
-                .query_preds()
-                .iter()
-                .any(|&p| par_set.contains(Atom::local(p)));
-            assert_eq!(seq, par, "program: {src}");
+            let (prog, groups) = query(&db, src);
+            let verdict = |threads| {
+                let run = kernel::evaluate(
+                    &prog,
+                    &DiskSource(&db),
+                    &NoStore,
+                    &groups,
+                    Demand::Verdicts,
+                    threads,
+                    &AutomataPool::new(),
+                )
+                .unwrap();
+                assert_eq!(run.stats.forward_scans, 0);
+                assert_eq!(run.stats.sta_encoded_bytes, 0);
+                run.verdicts
+            };
+            assert_eq!(verdict(1), verdict(4), "program: {src}");
         }
     }
 
-    /// Satellite regression: once a phase-2 state read fails, neither
-    /// the demux nor the hook may see another (fabricated) record.
-    #[test]
-    fn phase2_stops_feeding_hook_after_state_read_error() {
-        let db = mkdb("<a><b/><c/><d/><e/></a>", "m3.arb");
-        let mut labels = db.labels().clone();
-        let ast = parse_program("QUERY :- V.Label[b];", &mut labels).unwrap();
-        let mut prog = normalize(&ast);
-        prog.add_query_pred(prog.pred_id("QUERY").unwrap());
-        let groups = vec![vec![Atom::local(prog.pred_id("QUERY").unwrap())]];
-
-        // Run phase 1 by hand so phase 2 can be driven with a state
-        // source that fails once mid-stream and then "recovers" —
-        // exactly the shape under which the old code resumed streaming
-        // fabricated PredSetId(0) annotations into the hook.
-        let mut qa = QueryAutomata::new(&prog);
-        let n = db.node_count();
-        let mut states = vec![0u32; n as usize];
-        let mut scan = db.backward_scan().unwrap();
-        let root_state = bottom_up_scan(&mut scan, |s1: Option<ProgramId>, s2, rec, ix| {
-            let s = qa.bottom_up(s1, s2, rec.info(ix));
-            states[ix as usize] = s.0;
-            s
-        })
-        .unwrap();
-
-        let fail_at = 2u32;
-        let mut calls = Vec::new();
-        let mut hook = |ix: u32,
-                        _rec: arb_storage::NodeRecord,
-                        _s: arb_logic::PredSetView<'_>,
-                        _f: &[bool]| {
-            calls.push(ix);
-        };
-        let mut hook_opt: Option<Phase2Hook<'_>> = Some(&mut hook);
-        let res = phase2_sequential(
-            &mut qa,
-            &db,
-            root_state,
-            &groups,
-            |ix| {
-                if ix == fail_at {
-                    Err(io::Error::new(io::ErrorKind::UnexpectedEof, "injected"))
-                } else {
-                    Ok(states[ix as usize])
-                }
-            },
-            &mut hook_opt,
-        );
-        assert!(res.is_err(), "the injected error must surface");
-        assert_eq!(
-            calls,
-            vec![0, 1],
-            "no fabricated records may reach the hook after the error"
-        );
+    /// A [`StaStore`] whose stream is damaged between the two folds:
+    /// `damage` runs once, just before the first reader opens.
+    struct Damaged<'a, F: Fn() + Sync> {
+        inner: StaStore<'a>,
+        damage: F,
     }
 
-    /// The same latch against *real* truncation: a `.sta` stream that
-    /// ends two states early must surface `InvalidData` with context
-    /// (not a bare `UnexpectedEof`), and the hook must stop at the last
-    /// intact node — in both stream formats.
+    impl<F: Fn() + Sync> StateStore for Damaged<'_, F> {
+        type Writer<'w>
+            = StaWriter
+        where
+            Self: 'w;
+        type Reader<'r>
+            = StaReader
+        where
+            Self: 'r;
+
+        fn allocate(&self, n: u32) -> io::Result<u64> {
+            self.inner.allocate(n)
+        }
+
+        fn writer(&self, lo: u32, hi: u32) -> io::Result<StaWriter> {
+            self.inner.writer(lo, hi)
+        }
+
+        fn patch(&self, states: &[(u32, ProgramId)]) -> io::Result<u64> {
+            self.inner.patch(states)
+        }
+
+        fn reader(&self, lo: u32) -> io::Result<StaReader> {
+            (self.damage)();
+            self.inner.reader(lo)
+        }
+    }
+
+    /// The fold down's error latch against *real* damage, in both stream
+    /// formats. Truncation: a `.sta` stream that ends after two states
+    /// must surface `InvalidData` with context (not a bare
+    /// `UnexpectedEof`). Poison: a state id no automaton knows must be
+    /// an error too, not an out-of-bounds index. Either way the message
+    /// names the node and the hook stops at the last intact one.
     #[test]
     fn phase2_error_latch_covers_real_sta_truncation() {
         let db = mkdb("<a><b/><c/><d/><e/></a>", "m4.arb");
         let n = db.node_count();
-        let mut labels = db.labels().clone();
-        let ast = parse_program("QUERY :- V.Label[b];", &mut labels).unwrap();
-        let mut prog = normalize(&ast);
-        prog.add_query_pred(prog.pred_id("QUERY").unwrap());
-        let groups = vec![vec![Atom::local(prog.pred_id("QUERY").unwrap())]];
+        let (prog, groups) = query(&db, "QUERY :- V.Label[b];");
+        let bad_at = 2u32;
+
+        // The true ρ_A stream, from a clean run.
+        let mut states = Vec::new();
+        let mut hook = |v: &Visit<'_>| states.push(v.rho_a.0);
+        let sta = db.scratch_sta();
+        let clean = StaStore::new(sta.path(), StaFormat::Flat, n);
+        kernel::evaluate(
+            &prog,
+            &DiskSource(&db),
+            &clean,
+            &groups,
+            Demand::Stream(&mut hook),
+            1,
+            &AutomataPool::new(),
+        )
+        .unwrap();
+        let mut poisoned = states.clone();
+        poisoned[bad_at as usize] = u32::MAX - 7;
 
         for format in [StaFormat::Flat, StaFormat::Blocked] {
-            // Phase 1, capturing the true states.
-            let mut qa = QueryAutomata::new(&prog);
-            let mut states = vec![0u32; n as usize];
-            let mut scan = db.backward_scan().unwrap();
-            let root_state = bottom_up_scan(&mut scan, |s1: Option<ProgramId>, s2, rec, ix| {
-                let s = qa.bottom_up(s1, s2, rec.info(ix));
-                states[ix as usize] = s.0;
-                s
-            })
-            .unwrap();
-
-            // A stream covering only nodes [0, 2) of n. Flat: a chopped
-            // file. Blocked: a sharded layout whose later segments (and
-            // spine patches) never arrived — the crashed-worker shape.
-            let sta = db.scratch_sta();
-            let covered = 2u64;
-            match format {
-                StaFormat::Flat => {
-                    let mut w =
-                        StateFileWriter::create(sta.path(), n as u64, StaFormat::Flat).unwrap();
-                    for ix in (0..n).rev() {
-                        w.write_state(states[ix as usize]).unwrap();
+            for poison in [false, true] {
+                let sta = db.scratch_sta();
+                let path = sta.path();
+                let rewrite = |stream: &[u32]| {
+                    let mut w = StateFileWriter::create(path, n as u64, format).unwrap();
+                    for &s in stream.iter().rev() {
+                        w.write_state(s).unwrap();
                     }
                     w.finish().unwrap();
-                    let f = std::fs::OpenOptions::new()
-                        .write(true)
-                        .open(sta.path())
-                        .unwrap();
-                    f.set_len(covered * 4).unwrap();
-                }
-                StaFormat::Blocked => {
-                    arb_storage::stafile::allocate(sta.path(), n as u64, StaFormat::Blocked)
-                        .unwrap();
-                    let mut w =
-                        StateFileWriter::segment(sta.path(), 0, covered, StaFormat::Blocked)
-                            .unwrap();
-                    for ix in (0..covered).rev() {
-                        w.write_state(states[ix as usize]).unwrap();
+                };
+                let damage = || match (poison, format) {
+                    (true, _) => rewrite(&poisoned),
+                    // Flat: a chopped file.
+                    (false, StaFormat::Flat) => {
+                        let f = std::fs::OpenOptions::new().write(true).open(path).unwrap();
+                        f.set_len(bad_at as u64 * 4).unwrap();
                     }
-                    w.finish().unwrap();
-                }
+                    // Blocked: a sharded layout whose later segments (and
+                    // spine patches) never arrived — the crashed-worker
+                    // shape.
+                    (false, StaFormat::Blocked) => {
+                        stafile::allocate(path, n as u64, format).unwrap();
+                        let mut w =
+                            StateFileWriter::segment(path, 0, bad_at as u64, format).unwrap();
+                        for &s in states[..bad_at as usize].iter().rev() {
+                            w.write_state(s).unwrap();
+                        }
+                        w.finish().unwrap();
+                    }
+                };
+                let store = Damaged {
+                    inner: StaStore::new(path, format, n),
+                    damage,
+                };
+                let mut calls = Vec::new();
+                let mut hook = |v: &Visit<'_>| calls.push(v.ix);
+                let err = kernel::evaluate(
+                    &prog,
+                    &DiskSource(&db),
+                    &store,
+                    &groups,
+                    Demand::Stream(&mut hook),
+                    1,
+                    &AutomataPool::new(),
+                )
+                .err()
+                .expect("a damaged stream must fail");
+                let case = format!("{format}, poison {poison}");
+                assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{case}: {err}");
+                assert!(
+                    err.to_string().contains("node 2"),
+                    "{case}: the error must name the failing node, got {err}"
+                );
+                assert_eq!(
+                    calls,
+                    vec![0, 1],
+                    "{case}: the hook must stop at the damage"
+                );
             }
-
-            let mut calls = Vec::new();
-            let mut hook = |ix: u32,
-                            _rec: arb_storage::NodeRecord,
-                            _s: arb_logic::PredSetView<'_>,
-                            _f: &[bool]| {
-                calls.push(ix);
-            };
-            let mut hook_opt: Option<Phase2Hook<'_>> = Some(&mut hook);
-            let mut sta_r = StateFileReader::open(sta.path(), format).unwrap();
-            let err = phase2_sequential(
-                &mut qa,
-                &db,
-                root_state,
-                &groups,
-                |_| sta_r.read_state(),
-                &mut hook_opt,
-            )
-            .expect_err("truncated stream must fail");
-            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{format}: {err}");
-            assert!(
-                err.to_string().contains("node 2"),
-                "{format}: error must name the failing node, got {err}"
-            );
-            assert_eq!(calls, vec![0, 1], "{format}: hook must stop at the damage");
         }
     }
 }

@@ -17,11 +17,18 @@
 //!   surviving node whose recomputed ρ_B equals its pre-edit value over
 //!   a ρ_A-clean subtree.
 //!
+//! Everything from scratch is the evaluation kernel's
+//! ([`arb_core::kernel`]): priming is one ordinary kernel run whose
+//! document-order stream fills the mirrors, and the dirty window is
+//! re-folded by the kernel's window fold, seeded with the retained state
+//! just past it. Only what is genuinely incremental lives here — the
+//! early-stopping spine walk and the pruned phase-2 descent.
+//!
 //! A `StandingEval` pins the session's `QueryAutomata` (interned state
 //! ids must stay stable across refreshes, so it never returns them to
 //! the pool), mirrors the document's record stream, keeps both state
 //! arrays and per-atom result bit sets, and — on disk databases —
-//! maintains a persistent block-compressed `.sta` stream whose clean
+//! keeps the priming run's block-compressed `.sta` stream, whose clean
 //! blocks are byte-copied across epochs ([`arb_storage::rewrite_blocked`]).
 //! The per-refresh [`EvalStats`] report `dirty_nodes`,
 //! `retained_sta_blocks` and `refreshes` (and zero full scans — the
@@ -29,10 +36,12 @@
 
 use crate::batch::{BatchOutcome, QueryBatch};
 use crate::database::{Database, EngineError};
-use crate::update::{tree_records, AppliedUpdate};
+use crate::update::AppliedUpdate;
+use arb_core::kernel::{self, Demand, Visit};
 use arb_core::{AutomataPool, EvalStats, QueryAutomata};
-use arb_logic::{Atom, PredSetId, ProgramId};
+use arb_logic::{Atom, PredSetId, PredSetView, ProgramId};
 use arb_storage::{EditPlan, NodeRecord, ScratchPath, StaFormat};
+use arb_tree::traverse::{NodeSeq, ReversePreorder};
 use arb_tree::{NodeId, NodeInfo, NodeSet};
 use std::time::Instant;
 
@@ -102,54 +111,52 @@ pub(crate) struct StandingEval {
 impl StandingEval {
     /// Full evaluation of the batch at the database's current epoch —
     /// the one-time cost a standing query pays so every later update is
-    /// incremental.
+    /// incremental: one sequential kernel run over the database's own
+    /// backing whose document-order stream fills the record mirror, both
+    /// state arrays and the per-atom result sets. On disk the run's
+    /// block-compressed `.sta` stream is kept as the persistent one.
     pub(crate) fn prime(
         db: &Database,
         batch: &QueryBatch,
         pool: &AutomataPool,
     ) -> Result<Self, EngineError> {
-        let tree = db.snapshot_tree()?;
-        let mut qa = pool.take(batch.merged_program());
-        let run = arb_core::evaluate_tree_with(batch.merged_program(), &tree, &mut qa);
-        let records = tree_records(&tree);
-        drop(tree);
-        let (ends, _kinds) = arb_storage::record_extents(&records)?;
+        let epoch = db.epoch();
         let groups = batch.query_atoms();
-        let n = records.len();
-        let atom_count: usize = groups.iter().map(Vec::len).sum();
-        let mut atom_sets: Vec<NodeSet> = (0..atom_count).map(|_| NodeSet::new(n)).collect();
-        for ix in 0..n {
-            demux_atoms(&qa, &groups, &mut atom_sets, run.rho_b[ix], ix as u32);
-        }
-        let query_sets = union_queries(&groups, &atom_sets, n);
-        let (sta, sta_encoded_bytes) = match db.as_disk() {
-            Some(d) => {
-                let scratch = d.scratch_sta();
-                let mut w = arb_storage::stafile::StateFileWriter::create(
-                    scratch.path(),
-                    n as u64,
-                    StaFormat::Blocked,
-                )?;
-                for ix in (0..n).rev() {
-                    w.write_state(run.rho_a[ix].0)?;
-                }
-                let bytes = w.finish()?;
-                (Some(scratch), bytes)
-            }
-            None => (None, 0),
+        let n = db.node_count() as usize;
+        let mut records = Vec::with_capacity(n);
+        let mut rho_a = Vec::with_capacity(n);
+        let mut rho_b = Vec::with_capacity(n);
+        let mut atom_sets: Vec<NodeSet> =
+            groups.iter().flatten().map(|_| NodeSet::new(n)).collect();
+        let mut mirror = |v: &Visit<'_>| {
+            records.push(NodeRecord::from(v.info));
+            rho_a.push(v.rho_a);
+            rho_b.push(v.rho_b);
+            demux_atoms(v.preds, &groups, &mut atom_sets, v.ix);
         };
+        let (run, sta) = crate::diskeval::run(
+            db,
+            batch.merged_program(),
+            &[],
+            Demand::Stream(&mut mirror),
+            1,
+            StaFormat::Blocked,
+            pool,
+        )?;
+        let (ends, _kinds) = arb_storage::record_extents(&records)?;
+        let query_sets = union_queries(&groups, &atom_sets, records.len());
         Ok(StandingEval {
-            qa,
+            qa: run.automata,
             records,
             ends,
-            rho_a: run.rho_a,
-            rho_b: run.rho_b,
+            rho_a,
+            rho_b,
             groups,
             atom_sets,
             query_sets,
-            epoch: db.epoch(),
+            epoch,
             sta,
-            sta_encoded_bytes,
+            sta_encoded_bytes: run.stats.sta_encoded_bytes,
             refreshes: 0,
         })
     }
@@ -169,16 +176,7 @@ impl StandingEval {
         let rec = self.records[v as usize];
         let s1 = rec.has_first.then(|| a[v as usize + 1]);
         let s2 = rec.has_second.then(|| a[self.second_pos(v) as usize]);
-        self.qa.bottom_up(
-            s1,
-            s2,
-            NodeInfo {
-                label: rec.label,
-                has_first: rec.has_first,
-                has_second: rec.has_second,
-                is_root: v == 0,
-            },
-        )
+        self.qa.bottom_up(s1, s2, rec.info(v))
     }
 
     /// The root path to `anchor` (exclusive), by subtree-extent descent
@@ -245,8 +243,18 @@ impl StandingEval {
         a.extend_from_slice(&self.rho_a[..pos]);
         a.resize(pos + inserted, ProgramId(0));
         a.extend_from_slice(&self.rho_a[pos + removed..]);
-        for v in (pos..pos + inserted).rev() {
-            a[v] = self.transition_a(&a, v as u32);
+        if inserted > 0 {
+            // The window is the fragment root plus its first-child
+            // subtree; the root's next sibling lies just past it and
+            // keeps its state, which seeds the fold.
+            let (lo, hi) = (plan.pos, plan.pos + plan.inserted);
+            let seed = self.records[pos].has_second.then(|| a[pos + inserted]);
+            let mirror = Mirror(&self.records);
+            let mut window = ReversePreorder::new(&mirror, lo, hi);
+            kernel::fold_up(&mut window, &mut self.qa, seed, |ix, s| {
+                a[ix as usize] = s;
+                Ok(())
+            })?;
         }
         let mut dirty = inserted as u64;
 
@@ -329,17 +337,17 @@ impl StandingEval {
                 b[vi] = bv;
                 if changed {
                     dirty += u64::from(!is_new); // window nodes counted above
-                    demux_atoms(&self.qa, &self.groups, &mut self.atom_sets, bv, v);
+                    let preds = self.qa.predsets.get(bv);
+                    demux_atoms(preds, &self.groups, &mut self.atom_sets, v);
                 }
                 let rec = self.records[vi];
-                if rec.has_first {
-                    let c = v + 1;
-                    let cb = self.qa.top_down(bv, self.rho_a[c as usize], 1);
-                    stack.push((c, cb));
-                }
-                if rec.has_second {
-                    let c = self.second_pos(v);
-                    let cb = self.qa.top_down(bv, self.rho_a[c as usize], 2);
+                let kids = [
+                    (1, rec.has_first.then_some(v + 1)),
+                    (2, rec.has_second.then(|| self.second_pos(v))),
+                ];
+                for (k, c) in kids {
+                    let Some(c) = c else { continue };
+                    let cb = self.qa.top_down(bv, self.rho_a[c as usize], k);
                     stack.push((c, cb));
                 }
             }
@@ -496,25 +504,28 @@ impl StandingQuery {
     }
 }
 
+/// The record mirror as an in-memory node sequence, so the kernel's
+/// window fold streams over it.
+struct Mirror<'a>(&'a [NodeRecord]);
+
+impl NodeSeq for Mirror<'_> {
+    fn node_count(&self) -> u32 {
+        self.0.len() as u32
+    }
+
+    fn info_at(&self, ix: u32) -> NodeInfo {
+        self.0[ix as usize].info(ix)
+    }
+}
+
 /// Recomputes node `v`'s membership in every query-atom result set from
 /// its (new) predicate set.
-fn demux_atoms(
-    qa: &QueryAutomata,
-    groups: &[Vec<Atom>],
-    atom_sets: &mut [NodeSet],
-    b: PredSetId,
-    v: u32,
-) {
-    let set = qa.predsets.get(b);
-    let mut j = 0usize;
-    for atoms in groups {
-        for atom in atoms {
-            if set.contains(*atom) {
-                atom_sets[j].insert(NodeId(v));
-            } else {
-                atom_sets[j].remove(NodeId(v));
-            }
-            j += 1;
+fn demux_atoms(preds: PredSetView<'_>, groups: &[Vec<Atom>], atom_sets: &mut [NodeSet], v: u32) {
+    for (set, atom) in atom_sets.iter_mut().zip(groups.iter().flatten()) {
+        if preds.contains(*atom) {
+            set.insert(NodeId(v));
+        } else {
+            set.remove(NodeId(v));
         }
     }
 }

@@ -33,17 +33,30 @@
 //! ```
 //!
 //! Provided sinks: [`BooleanSink`] (accept/reject per query — one
-//! backward scan on disk), [`CountSink`], [`NodeSetSink`], and
+//! backward scan, nothing stored), [`CountSink`], [`NodeSetSink`], and
 //! [`XmlMarkSink`] (streams during phase 2). [`EvalOptions`] carries the
-//! engine knobs: `prefer_memory` (materialize a disk database first) and
-//! `parallelism` (frontier-parallel evaluation, paper §6.2, on **both**
-//! backends — on disk the pass is sharded over disjoint subtree record
-//! windows with per-worker range scans and `.sta` segments; see the
-//! [`diskeval`] module docs). Every evaluation gets its own uniquely
-//! named `.sta` scratch file, so concurrent sessions over one database
-//! are safe. Convenience wrappers [`Session::run`], [`Session::run_one`],
+//! two engine knobs: `parallelism` (frontier-parallel evaluation, paper
+//! §6.2, on **both** backings — on disk the pass is sharded over
+//! disjoint subtree record windows with per-worker range scans and
+//! `.sta` segments) and `sta_format` (the layout of the run's `.sta`
+//! state stream). Every evaluation gets its own uniquely named `.sta`
+//! scratch file, so concurrent sessions over one database are safe.
+//! Convenience wrappers [`Session::run`], [`Session::run_one`],
 //! [`Session::run_boolean`] and [`Session::run_marked`] cover the common
-//! shapes; the deprecated `Database::evaluate*` matrix forwards to them.
+//! shapes.
+//!
+//! ## One kernel
+//!
+//! Every run — any sink, either backing, sequential or sharded, and the
+//! priming run of a standing query — is one call of
+//! [`arb_core::kernel::evaluate`]: one backward fold, one forward fold.
+//! Memory versus disk is only where the records and the phase-1 states
+//! live ([`diskeval`] adapts the `.arb` scans and the `.sta` file to the
+//! kernel's source and store traits). Beside [`Session::eval`] the crate
+//! keeps two raw-program fronts for harnesses and reference suites,
+//! [`evaluate_disk`] and [`evaluate_disk_parallel`] (a raw
+//! [`arb_tmnf::CoreProgram`] routed through a [`QueryBatch`] would be
+//! re-merged and drift pinned transition counts).
 //!
 //! ## Build once, eval many
 //!
@@ -69,10 +82,7 @@ pub mod update;
 
 pub use arb_core::AutomataPool;
 pub use arb_storage::{FormatVersion, StaFormat};
-pub use batch::{
-    evaluate_boolean_batch, evaluate_boolean_batch_opts, evaluate_disk_batch,
-    evaluate_disk_batch_opts, evaluate_disk_batch_with_hook, BatchOutcome, QueryBatch,
-};
+pub use batch::{BatchOutcome, QueryBatch};
 pub use database::{Database, EngineError};
 pub use diskeval::{evaluate_disk, evaluate_disk_parallel};
 pub use incremental::{QueryDelta, RefreshReport, StandingQuery};

@@ -23,46 +23,39 @@
 
 use crate::batch::{BatchOutcome, QueryBatch};
 use crate::database::{Database, EngineError};
-use crate::diskeval::Phase2Hook;
 use crate::incremental::{RefreshReport, StandingEval};
 use crate::output::XmlEmitter;
 use crate::query::Query;
 use crate::update::DocUpdate;
 use crate::QueryOutcome;
+use arb_core::kernel::{Demand, Visit};
 use arb_core::AutomataPool;
-use arb_storage::NodeRecord;
-use arb_tree::{BinaryTree, LabelTable, NodeId, NodeSet};
+use arb_storage::{NodeRecord, StaFormat};
+use arb_tree::{LabelTable, NodeSet};
 use std::io::{self, Write};
 use std::sync::{Arc, Mutex};
 
-/// Evaluation knobs, absorbing the engine-level options that used to
-/// live in the (now removed) `Engine` struct.
+/// Evaluation knobs. Which record source a run reads is not one of
+/// them: that is the [`Database`]'s backing (materialize a disk database
+/// with `Database::from_tree(db.to_tree()?, db.labels().clone())` to
+/// evaluate it in memory).
 #[derive(Debug, Clone, Default)]
 pub struct EvalOptions {
-    /// Force in-memory evaluation even for disk databases (materializes
-    /// the tree first). Off by default.
-    pub prefer_memory: bool,
     /// Worker threads for the two-phase pass; `0` and `1` mean
-    /// sequential. `> 1` splits the work over a frontier of disjoint
-    /// subtrees (paper §6.2) on **both** backends: in memory through
-    /// [`arb_core::evaluate_tree_parallel`], on disk through the sharded
-    /// kernel of [`crate::diskeval`] — workers run backward/forward
-    /// *range scans* over their subtrees' record windows and read/write
-    /// disjoint segments of the run's (uniquely named) `.sta` scratch
-    /// file; verdict-only sinks shard the single backward pass the same
-    /// way. Results are identical to sequential evaluation; documents
-    /// with no useful frontier (tiny or degenerate) fall back
-    /// automatically.
+    /// sequential. `> 1` splits both folds over a frontier of disjoint
+    /// subtrees (paper §6.2, see [`arb_core::kernel`]) on either
+    /// backing: on disk the workers run backward/forward *range scans*
+    /// over their subtrees' record windows and write/read disjoint
+    /// segments of the run's (uniquely named) `.sta` scratch file;
+    /// verdict-only sinks shard the single backward pass the same way.
+    /// Results are identical to sequential evaluation; documents with no
+    /// useful frontier (tiny or degenerate) run as one window.
     pub parallelism: usize,
-    /// Ask front ends and sinks for per-query statistics output on top
-    /// of the results (the CLI's `--stats`); the engine always collects
-    /// [`arb_core::EvalStats`] either way.
-    pub verbose_stats: bool,
     /// The on-disk layout of the run's `.sta` state stream (see
     /// [`arb_storage::StaFormat`]): `None` (the default) defers to the
     /// `ARB_STA_FORMAT` environment variable, which itself defaults to
-    /// the block-compressed layout. Only the disk backend consults it.
-    pub sta_format: Option<arb_storage::StaFormat>,
+    /// the block-compressed layout. Only disk databases consult it.
+    pub sta_format: Option<StaFormat>,
 }
 
 /// A builder describing one evaluation run of a [`Session`].
@@ -82,26 +75,14 @@ impl EvalRequest {
         EvalRequest { options }
     }
 
-    /// Sets [`EvalOptions::prefer_memory`].
-    pub fn prefer_memory(mut self, yes: bool) -> Self {
-        self.options.prefer_memory = yes;
-        self
-    }
-
     /// Sets [`EvalOptions::parallelism`].
     pub fn parallelism(mut self, threads: usize) -> Self {
         self.options.parallelism = threads;
         self
     }
 
-    /// Sets [`EvalOptions::verbose_stats`].
-    pub fn verbose_stats(mut self, yes: bool) -> Self {
-        self.options.verbose_stats = yes;
-        self
-    }
-
     /// Sets [`EvalOptions::sta_format`] (the `.sta` stream layout).
-    pub fn sta_format(mut self, format: arb_storage::StaFormat) -> Self {
+    pub fn sta_format(mut self, format: StaFormat) -> Self {
         self.options.sta_format = Some(format);
         self
     }
@@ -115,9 +96,10 @@ impl EvalRequest {
 /// How much of the two-phase pass a [`ResultSink`] needs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SinkDemand {
-    /// Only per-query root verdicts (document filtering, paper §1): the
-    /// disk backend answers with a single backward scan and no `.sta`
-    /// file.
+    /// Only per-query root verdicts (document filtering, paper §1): a
+    /// single backward scan, no forward scan and no `.sta` file — the
+    /// root's residual program already carries the constraints of the
+    /// whole tree.
     Verdicts,
     /// Full per-query outcomes — node sets, counts, statistics.
     Outcomes,
@@ -434,23 +416,16 @@ impl<'db> Session<'db> {
         self.db
     }
 
-    /// The tree backing the in-memory evaluation path: the current
-    /// epoch's shared snapshot for memory databases, a materialization
-    /// for disk databases under [`EvalOptions::prefer_memory`].
-    fn materialized(&self) -> Result<Arc<BinaryTree>, EngineError> {
-        self.db.snapshot_tree()
-    }
-
     /// **The canonical evaluation entry point.** Runs the session's one
     /// shared two-phase pass as described by `req` and feeds `sink`.
     ///
-    /// Backend choice: disk databases evaluate by two linear scans
-    /// unless [`EvalOptions::prefer_memory`] materializes the tree
-    /// first; when [`EvalOptions::parallelism`] exceeds 1 the pass is
-    /// split over a subtree frontier on either backend (sharded range
-    /// scans on disk). Sinks demanding only [`SinkDemand::Verdicts`]
-    /// reduce the disk pass to a single backward pass (sharded too under
-    /// parallelism).
+    /// Every run is one call of the evaluation kernel
+    /// ([`arb_core::kernel::evaluate`]) over the database's backing —
+    /// two linear scans and a scratch `.sta` file on disk, the tree and
+    /// an in-memory state array otherwise; when
+    /// [`EvalOptions::parallelism`] exceeds 1 the pass is split over a
+    /// subtree frontier on either backing. Sinks demanding only
+    /// [`SinkDemand::Verdicts`] reduce it to the backward pass.
     pub fn eval(
         &self,
         req: &EvalRequest,
@@ -463,91 +438,57 @@ impl<'db> Session<'db> {
             nodes: self.db.node_count(),
             options: opts,
         })?;
-        let disk = if opts.prefer_memory {
-            None
-        } else {
-            self.db.as_disk()
+        if batch.is_empty() {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidInput,
+                "cannot evaluate an empty query batch",
+            )
+            .into());
+        }
+        let demand = sink.demand();
+        let mut sink_err: Option<io::Error> = None;
+        let run = {
+            let mut stream = |v: &Visit<'_>| {
+                if sink_err.is_none() {
+                    sink_err = sink.node(v.ix, v.info.into(), v.selected_by).err();
+                }
+            };
+            let (run, _sta) = crate::diskeval::run(
+                self.db,
+                batch.merged_program(),
+                &batch.query_atoms(),
+                match demand {
+                    SinkDemand::Verdicts => Demand::Verdicts,
+                    SinkDemand::Outcomes => Demand::Sets,
+                    SinkDemand::Stream => Demand::Stream(&mut stream),
+                },
+                opts.parallelism,
+                opts.sta_format.unwrap_or_else(StaFormat::from_env),
+                &self.pool,
+            )?;
+            run
         };
-        let report = match sink.demand() {
-            SinkDemand::Verdicts => {
-                let verdicts = match disk {
-                    Some(d) => crate::batch::evaluate_boolean_batch_pooled(
-                        batch,
-                        d,
-                        opts.parallelism,
-                        &self.pool,
-                    )?,
-                    None => crate::batch::evaluate_boolean_batch_tree(
-                        batch,
-                        self.materialized()?.as_ref(),
-                        opts.parallelism,
-                        &self.pool,
-                    )?,
-                };
-                sink.verdicts(&verdicts)?;
-                EvalReport {
-                    verdicts,
-                    batch: None,
-                }
+        self.pool.put(run.automata);
+        if let Some(e) = sink_err {
+            return Err(e.into());
+        }
+        sink.verdicts(&run.verdicts)?;
+        let outcome = (demand != SinkDemand::Verdicts).then(|| {
+            let mut stats = run.stats;
+            stats.batch_size = batch.len() as u64;
+            BatchOutcome {
+                outcomes: batch.demux(&stats, &run.counts, run.sets),
+                stats,
             }
-            demand => {
-                let mut sink_err: Option<io::Error> = None;
-                let outcome = {
-                    let mut hook_fn;
-                    let hook: Option<Phase2Hook<'_>> = if demand == SinkDemand::Stream {
-                        hook_fn = |ix: u32,
-                                   rec: NodeRecord,
-                                   _set: arb_logic::PredSetView<'_>,
-                                   flags: &[bool]| {
-                            if sink_err.is_none() {
-                                if let Err(e) = sink.node(ix, rec, flags) {
-                                    sink_err = Some(e);
-                                }
-                            }
-                        };
-                        Some(&mut hook_fn)
-                    } else {
-                        None
-                    };
-                    match disk {
-                        Some(d) => crate::batch::evaluate_disk_batch_opts_sta(
-                            batch,
-                            d,
-                            opts.parallelism,
-                            hook,
-                            opts.sta_format
-                                .unwrap_or_else(arb_storage::StaFormat::from_env),
-                            &self.pool,
-                        )?,
-                        None => crate::batch::evaluate_tree_batch_opts(
-                            batch,
-                            self.materialized()?.as_ref(),
-                            opts.parallelism,
-                            hook,
-                            &self.pool,
-                        )?,
-                    }
-                };
-                if let Some(e) = sink_err {
-                    return Err(e.into());
-                }
-                // The root is preorder node 0, so the per-query verdict
-                // is a membership test on the demultiplexed sets.
-                let verdicts: Vec<bool> = outcome
-                    .outcomes
-                    .iter()
-                    .map(|o| o.selected.contains(NodeId(0)))
-                    .collect();
-                sink.verdicts(&verdicts)?;
-                sink.outcomes(&outcome)?;
-                EvalReport {
-                    verdicts,
-                    batch: Some(outcome),
-                }
-            }
-        };
+        });
+        if let Some(outcome) = &outcome {
+            sink.outcomes(outcome)?;
+        }
         sink.finish()?;
-        Ok(report)
+        Ok(EvalReport {
+            verdicts: run.verdicts,
+            batch: outcome,
+        })
     }
 
     /// Primes the session's standing-query state: one full evaluation
@@ -769,6 +710,23 @@ mod tests {
         assert!(session.is_empty());
         assert!(session.run().is_err());
         assert!(session.run_boolean().is_err());
+
+        // Nothing to evaluate the other way round: a query over an empty
+        // in-memory database is the kernel's `InvalidData`, like an empty
+        // `.arb` file — for every demand, and never a panic.
+        let empty = arb_tree::BinaryTree::from_parts(vec![], vec![], vec![]).unwrap();
+        let mut db = Database::from_tree(empty, LabelTable::new());
+        let q = db.compile_tmnf("QUERY :- Root;").unwrap();
+        let session = db.prepare(&[q]);
+        let errors = [
+            session.run().err(),
+            session.run_boolean().err(),
+            session.run_marked(Vec::new()).err(),
+        ];
+        for e in errors {
+            let e = e.expect("an empty database has no answer").to_string();
+            assert!(e.contains("empty database"), "{e}");
+        }
     }
 
     #[test]

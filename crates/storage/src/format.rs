@@ -94,6 +94,33 @@ impl NodeRecord {
     }
 }
 
+impl arb_tree::traverse::Record for NodeRecord {
+    #[inline]
+    fn has_first(self) -> bool {
+        self.has_first
+    }
+
+    #[inline]
+    fn has_second(self) -> bool {
+        self.has_second
+    }
+
+    #[inline]
+    fn info(self, ix: u32) -> NodeInfo {
+        NodeRecord::info(self, ix)
+    }
+}
+
+impl From<NodeInfo> for NodeRecord {
+    fn from(info: NodeInfo) -> Self {
+        NodeRecord {
+            label: info.label,
+            has_first: info.has_first,
+            has_second: info.has_second,
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -12,6 +12,7 @@
 use crate::format::{NodeRecord, RECORD_BYTES};
 use crate::rev::RevReader;
 use crate::v2::{read_block, BlockMap};
+use arb_tree::traverse::RecordStream;
 use std::io::{self, BufReader, Read, Seek, SeekFrom};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -150,6 +151,15 @@ impl<R: Read> ForwardScan<R> {
     }
 }
 
+impl<R: Read> RecordStream for ForwardScan<R> {
+    type Record = NodeRecord;
+
+    #[inline]
+    fn next_node(&mut self) -> io::Result<Option<(u32, NodeRecord)>> {
+        self.next_record()
+    }
+}
+
 enum BwdInner<R: Read + Seek> {
     Raw(RevReader<R>),
     Blocked(Blocked),
@@ -235,6 +245,15 @@ impl<R: Read + Seek> BackwardScan<R> {
                 Ok(Some((ix, rec)))
             }
         }
+    }
+}
+
+impl<R: Read + Seek> RecordStream for BackwardScan<R> {
+    type Record = NodeRecord;
+
+    #[inline]
+    fn next_node(&mut self) -> io::Result<Option<(u32, NodeRecord)>> {
+        self.next_record()
     }
 }
 

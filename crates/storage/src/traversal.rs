@@ -1,145 +1,19 @@
 //! Proposition 5.1: one-scan top-down and bottom-up traversals with
 //! stacks bounded by the *XML* (unranked) tree depth.
 //!
-//! These generic drivers run any fold over the tree structure directly
-//! from the record scans — the two-phase query evaluator plugs its
-//! automata in here, and the tests plug in tree reconstruction to verify
-//! the proposition.
+//! The folds themselves are generic over any preorder record stream and
+//! live beside the tree model ([`arb_tree::traverse`]), where the query
+//! kernel reuses them for every record source; this module re-exports
+//! them for the `.arb` scans and holds the tests that verify the
+//! proposition against real record byte streams.
 
-use crate::format::NodeRecord;
-use crate::scan::{BackwardScan, ForwardScan};
-use std::io::{self, Read, Seek};
-
-/// Runs a bottom-up fold over a backward scan.
-///
-/// `step(s1, s2, record, ix)` is called exactly once per node, children
-/// before parents (`s1`/`s2` are the values computed for the first/second
-/// child, `None` for missing children — the pseudo-state ⊥). Returns the
-/// root's value.
-///
-/// The scan may be a range scan over one complete subtree
-/// ([`BackwardScan::range`] on a preorder extent): the fold then returns
-/// the subtree root's value. A window that is not a whole subtree is
-/// rejected as corrupt, exactly like an inconsistent record stream.
-///
-/// The internal stack holds one value per completed-but-unconsumed
-/// subtree, which is bounded by the unranked depth of the document.
-pub fn bottom_up_scan<R, S>(
-    scan: &mut BackwardScan<R>,
-    mut step: impl FnMut(Option<S>, Option<S>, NodeRecord, u32) -> S,
-) -> io::Result<S>
-where
-    R: Read + Seek,
-{
-    let mut stack: Vec<S> = Vec::new();
-    let mut last_ix = None;
-    while let Some((ix, rec)) = scan.next_record()? {
-        // Reading backwards, the most recently completed subtree is the
-        // first child's (its records directly precede... follow v), so it
-        // is on top of the stack.
-        let s1 = if rec.has_first {
-            Some(stack.pop().ok_or_else(corrupt)?)
-        } else {
-            None
-        };
-        let s2 = if rec.has_second {
-            Some(stack.pop().ok_or_else(corrupt)?)
-        } else {
-            None
-        };
-        stack.push(step(s1, s2, rec, ix));
-        last_ix = Some(ix);
-    }
-    if last_ix != Some(scan.start_ix()) || stack.len() != 1 {
-        return Err(corrupt());
-    }
-    Ok(stack.pop().expect("checked length"))
-}
-
-/// Preorder subtree extents and child flags, computed from one backward
-/// metadata scan (the `subtree_ends` recurrence of the in-memory
-/// frontier, run against the record stream instead of a materialized
-/// tree): `ends[v]` is one past the last node of `v`'s subtree, so
-/// subtree(v) is the record window `[v, ends[v])`; `kinds[v]` has bit 0
-/// set iff `v` has a first child and bit 1 iff it has a second — enough
-/// for frontier picking without touching labels or building a
-/// [`arb_tree::BinaryTree`].
-pub fn subtree_extents<R>(scan: &mut BackwardScan<R>, n: u32) -> io::Result<(Vec<u32>, Vec<u8>)>
-where
-    R: Read + Seek,
-{
-    let mut ends = vec![0u32; n as usize];
-    let mut kinds = vec![0u8; n as usize];
-    bottom_up_scan(scan, |s1: Option<u32>, s2, rec, ix| {
-        // end(v) = end(second child) else end(first child) else v + 1.
-        let end = s2.or(s1).unwrap_or(ix + 1);
-        ends[ix as usize] = end;
-        kinds[ix as usize] = rec.has_first as u8 | (rec.has_second as u8) << 1;
-        end
-    })?;
-    Ok((ends, kinds))
-}
-
-fn corrupt() -> io::Error {
-    io::Error::new(
-        io::ErrorKind::InvalidData,
-        "corrupt .arb file: child flags inconsistent with record stream",
-    )
-}
-
-/// The context handed to the top-down fold for each node.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum DownContext<S> {
-    /// This node is the root.
-    Root,
-    /// This node is the `k`-child (1 or 2) of a node that folded to `S`.
-    Child(S, u8),
-}
-
-/// Runs a top-down fold over a forward scan.
-///
-/// `step(ctx, record, ix)` is called exactly once per node, parents
-/// before children, in preorder. The stack holds parent values awaiting
-/// their second child — bounded by the unranked document depth.
-pub fn top_down_scan<R, S>(
-    scan: &mut ForwardScan<R>,
-    mut step: impl FnMut(DownContext<S>, NodeRecord, u32) -> S,
-) -> io::Result<()>
-where
-    R: Read,
-    S: Clone,
-{
-    // Values for nodes whose second-child subtree is still ahead.
-    let mut pending: Vec<S> = Vec::new();
-    let mut ctx: Option<DownContext<S>> = Some(DownContext::Root);
-    while let Some((ix, rec)) = scan.next_record()? {
-        let here = ctx.take().ok_or_else(corrupt)?;
-        if ix == 0 && !matches!(here, DownContext::Root) {
-            return Err(corrupt());
-        }
-        let s = step(here, rec, ix);
-        // Determine the context of the *next* record in preorder.
-        ctx = if rec.has_first {
-            if rec.has_second {
-                pending.push(s.clone());
-            }
-            Some(DownContext::Child(s, 1))
-        } else if rec.has_second {
-            Some(DownContext::Child(s, 2))
-        } else {
-            pending.pop().map(|p| DownContext::Child(p, 2))
-        };
-    }
-    if ctx.is_some() || !pending.is_empty() {
-        return Err(corrupt());
-    }
-    Ok(())
-}
+pub use arb_tree::traverse::{bottom_up_scan, subtree_extents, top_down_scan, DownContext};
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::format::RECORD_BYTES;
+    use crate::format::{NodeRecord, RECORD_BYTES};
+    use crate::scan::{BackwardScan, ForwardScan};
     use arb_tree::{BinaryTree, LabelId, LabelTable, NodeId, TreeBuilder, NONE};
     use std::io::Cursor;
 

@@ -1,7 +1,259 @@
-//! Traversal utilities: postorder, unranked depth, document events.
+//! Traversal utilities: the Proposition 5.1 one-pass folds over preorder
+//! record streams, plus postorder, unranked depth and document events.
+//!
+//! A tree in preorder layout *is* a record stream: node `v`'s first child
+//! (if any) is `v + 1`, its second child follows the first child's
+//! subtree. [`bottom_up_scan`] and [`top_down_scan`] fold any such stream
+//! ([`RecordStream`]) with a stack bounded by the unranked document
+//! depth — whether the records come from an in-memory [`BinaryTree`]
+//! ([`Preorder`] / [`ReversePreorder`] over any [`NodeSeq`]) or from the
+//! `.arb` scans of `arb-storage`. The query kernel of `arb-core` plugs
+//! its automata in here; the storage tests plug in tree reconstruction
+//! to verify the proposition.
 
 use crate::label::LabelId;
-use crate::tree::{BinaryTree, NodeId};
+use crate::tree::{BinaryTree, NodeId, NodeInfo};
+use std::io;
+
+/// What a stream yields per node: its label and child flags — a
+/// [`NodeInfo`] short of the root flag, which only the index can tell.
+/// Streams keep their own compact record type (the `.arb` scans yield
+/// their 2-byte record as decoded) and the folds widen it to the
+/// automaton symbol only where one is asked for.
+pub trait Record: Copy {
+    /// Whether a first child follows.
+    fn has_first(self) -> bool;
+    /// Whether a second child exists.
+    fn has_second(self) -> bool;
+    /// The automaton input symbol of this record at preorder index `ix`.
+    fn info(self, ix: u32) -> NodeInfo;
+}
+
+impl Record for NodeInfo {
+    #[inline]
+    fn has_first(self) -> bool {
+        self.has_first
+    }
+
+    #[inline]
+    fn has_second(self) -> bool {
+        self.has_second
+    }
+
+    #[inline]
+    fn info(self, _ix: u32) -> NodeInfo {
+        self
+    }
+}
+
+/// One direction of a preorder record stream: yields `(preorder index,
+/// record)` pairs — ascending for a forward stream, descending for a
+/// backward one — over a window `[lo, hi)` of the document.
+pub trait RecordStream {
+    /// The stream's record type.
+    type Record: Record;
+    /// The next record of the stream, or `None` past its last.
+    fn next_node(&mut self) -> io::Result<Option<(u32, Self::Record)>>;
+}
+
+/// A random-access preorder node sequence held in memory (a
+/// [`BinaryTree`], a record slice): what [`Preorder`] and
+/// [`ReversePreorder`] stream over.
+pub trait NodeSeq {
+    /// Number of nodes.
+    fn node_count(&self) -> u32;
+    /// The symbol of node `ix` (`ix < node_count()`).
+    fn info_at(&self, ix: u32) -> NodeInfo;
+}
+
+impl NodeSeq for BinaryTree {
+    fn node_count(&self) -> u32 {
+        self.len() as u32
+    }
+
+    #[inline]
+    fn info_at(&self, ix: u32) -> NodeInfo {
+        self.info(NodeId(ix))
+    }
+}
+
+/// Forward stream over the window `[lo, hi)` of an in-memory sequence.
+pub struct Preorder<'a, T: ?Sized> {
+    seq: &'a T,
+    next: u32,
+    hi: u32,
+}
+
+impl<'a, T: NodeSeq + ?Sized> Preorder<'a, T> {
+    /// Streams `seq[lo..hi]` in preorder.
+    pub fn new(seq: &'a T, lo: u32, hi: u32) -> Self {
+        debug_assert!(lo <= hi && hi <= seq.node_count());
+        Preorder { seq, next: lo, hi }
+    }
+}
+
+impl<T: NodeSeq + ?Sized> RecordStream for Preorder<'_, T> {
+    type Record = NodeInfo;
+
+    #[inline]
+    fn next_node(&mut self) -> io::Result<Option<(u32, NodeInfo)>> {
+        if self.next >= self.hi {
+            return Ok(None);
+        }
+        let ix = self.next;
+        self.next += 1;
+        Ok(Some((ix, self.seq.info_at(ix))))
+    }
+}
+
+/// Backward stream over the window `[lo, hi)` of an in-memory sequence
+/// (`hi − 1` down to `lo`).
+pub struct ReversePreorder<'a, T: ?Sized> {
+    seq: &'a T,
+    next: u32,
+    lo: u32,
+}
+
+impl<'a, T: NodeSeq + ?Sized> ReversePreorder<'a, T> {
+    /// Streams `seq[lo..hi]` in reverse preorder.
+    pub fn new(seq: &'a T, lo: u32, hi: u32) -> Self {
+        debug_assert!(lo <= hi && hi <= seq.node_count());
+        ReversePreorder { seq, next: hi, lo }
+    }
+}
+
+impl<T: NodeSeq + ?Sized> RecordStream for ReversePreorder<'_, T> {
+    type Record = NodeInfo;
+
+    #[inline]
+    fn next_node(&mut self) -> io::Result<Option<(u32, NodeInfo)>> {
+        if self.next <= self.lo {
+            return Ok(None);
+        }
+        self.next -= 1;
+        Ok(Some((self.next, self.seq.info_at(self.next))))
+    }
+}
+
+/// Runs a bottom-up fold over a backward record stream.
+///
+/// `step(s1, s2, record, ix)` is called exactly once per node, children
+/// before parents (`s1`/`s2` are the values computed for the first/second
+/// child, `None` for missing children — the pseudo-state ⊥). Returns the
+/// root's value.
+///
+/// The stream may cover one complete subtree window `[v, end(v))`: the
+/// fold then returns the subtree root's value. A window that is not a
+/// whole subtree is rejected as corrupt, exactly like an inconsistent
+/// record stream.
+///
+/// The internal stack holds one value per completed-but-unconsumed
+/// subtree, which is bounded by the unranked depth of the document.
+pub fn bottom_up_scan<R: RecordStream, S>(
+    scan: &mut R,
+    step: impl FnMut(Option<S>, Option<S>, R::Record, u32) -> S,
+) -> io::Result<S> {
+    bottom_up_scan_seeded(scan, None, step)
+}
+
+/// [`bottom_up_scan`] over a window whose root's second child lies just
+/// *past* the window: `seed` is that child's already-known value (the
+/// retained boundary state of an incremental re-fold). With `None` the
+/// window must be a whole subtree.
+pub fn bottom_up_scan_seeded<R: RecordStream, S>(
+    scan: &mut R,
+    seed: Option<S>,
+    mut step: impl FnMut(Option<S>, Option<S>, R::Record, u32) -> S,
+) -> io::Result<S> {
+    let mut stack: Vec<S> = seed.into_iter().collect();
+    while let Some((ix, rec)) = scan.next_node()? {
+        // Reading backwards, the most recently completed subtree is the
+        // first child's (its records directly follow v), so it is on top
+        // of the stack.
+        let s1 = if rec.has_first() {
+            Some(stack.pop().ok_or_else(corrupt)?)
+        } else {
+            None
+        };
+        let s2 = if rec.has_second() {
+            Some(stack.pop().ok_or_else(corrupt)?)
+        } else {
+            None
+        };
+        stack.push(step(s1, s2, rec, ix));
+    }
+    match (stack.pop(), stack.is_empty()) {
+        (Some(root), true) => Ok(root),
+        _ => Err(corrupt()),
+    }
+}
+
+/// Preorder subtree extents and child flags, computed from one backward
+/// metadata pass: `ends[v]` is one past the last node of `v`'s subtree,
+/// so subtree(v) is the record window `[v, ends[v])`; `kinds[v]` has bit 0
+/// set iff `v` has a first child and bit 1 iff it has a second — enough
+/// for frontier picking without touching labels.
+pub fn subtree_extents<R: RecordStream>(scan: &mut R, n: u32) -> io::Result<(Vec<u32>, Vec<u8>)> {
+    let mut ends = vec![0u32; n as usize];
+    let mut kinds = vec![0u8; n as usize];
+    bottom_up_scan(scan, |s1: Option<u32>, s2, rec, ix| {
+        // end(v) = end(second child) else end(first child) else v + 1.
+        let end = s2.or(s1).unwrap_or(ix + 1);
+        ends[ix as usize] = end;
+        kinds[ix as usize] = rec.has_first() as u8 | (rec.has_second() as u8) << 1;
+        end
+    })?;
+    Ok((ends, kinds))
+}
+
+fn corrupt() -> io::Error {
+    io::Error::new(
+        io::ErrorKind::InvalidData,
+        "corrupt record stream: child flags inconsistent with the records",
+    )
+}
+
+/// The context handed to the top-down fold for each node.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum DownContext<S> {
+    /// This node is the root (of the document, or of the window).
+    Root,
+    /// This node is the `k`-child (1 or 2) of a node that folded to `S`.
+    Child(S, u8),
+}
+
+/// Runs a top-down fold over a forward record stream.
+///
+/// `step(ctx, record, ix)` is called exactly once per node, parents
+/// before children, in preorder. The stack holds parent values awaiting
+/// their second child — bounded by the unranked document depth.
+pub fn top_down_scan<R: RecordStream, S: Clone>(
+    scan: &mut R,
+    mut step: impl FnMut(DownContext<S>, R::Record, u32) -> S,
+) -> io::Result<()> {
+    // Values for nodes whose second-child subtree is still ahead.
+    let mut pending: Vec<S> = Vec::new();
+    let mut ctx: Option<DownContext<S>> = Some(DownContext::Root);
+    while let Some((ix, rec)) = scan.next_node()? {
+        let here = ctx.take().ok_or_else(corrupt)?;
+        let s = step(here, rec, ix);
+        // Determine the context of the *next* record in preorder.
+        ctx = if rec.has_first() {
+            if rec.has_second() {
+                pending.push(s.clone());
+            }
+            Some(DownContext::Child(s, 1))
+        } else if rec.has_second() {
+            Some(DownContext::Child(s, 2))
+        } else {
+            pending.pop().map(|p| DownContext::Child(p, 2))
+        };
+    }
+    if ctx.is_some() || !pending.is_empty() {
+        return Err(corrupt());
+    }
+    Ok(())
+}
 
 /// Bottom-up (postorder with respect to the binary structure: first-child
 /// subtree, second-child subtree, node) visit order.

@@ -54,25 +54,46 @@
 //! Provided sinks: [`engine::BooleanSink`] (accept/reject per query —
 //! a single backward scan on disk databases), [`engine::CountSink`],
 //! [`engine::NodeSetSink`], and [`engine::XmlMarkSink`] (streams during
-//! phase 2 without materializing extra node sets). [`EvalOptions`]
-//! carries the knobs: `prefer_memory` materializes a disk database
-//! first, `parallelism` splits the pass over a subtree frontier with
-//! worker threads on either backend (§6.2 —
-//! [`core::evaluate_tree_parallel`] in memory; on disk, sharded
-//! backward/forward *range scans* over disjoint subtree record windows
-//! with segmented `.sta` I/O, see the [`engine::diskeval`] module docs).
-//! Every run gets its own uniquely named `.sta` scratch file, so
-//! concurrent sessions over one database are safe. Shorthand wrappers
+//! phase 2 without materializing extra node sets). Shorthand wrappers
 //! [`Session::run`], [`Session::run_one`], [`Session::run_boolean`] and
-//! [`Session::run_marked`] cover the common shapes. The legacy
-//! `Database::evaluate*` matrix is deprecated and forwards to this path;
-//! see the migration table on [`Database`].
+//! [`Session::run_marked`] cover the common shapes. Every run gets its
+//! own uniquely named `.sta` scratch file, so concurrent sessions over
+//! one database are safe.
 //!
-//! Raw-program entry points for harnesses that bypass `Query`
-//! compilation: [`QueryBatch::from_programs`] +
-//! [`Database::prepare_batch`] (or the kernels
-//! [`engine::evaluate_disk`] / [`engine::evaluate_disk_batch`] /
-//! [`core::evaluate_tree_batch`] directly).
+//! ### Knobs
+//!
+//! [`EvalOptions`] carries exactly two. `parallelism` splits the pass
+//! over a subtree frontier with worker threads on either backing (§6.2:
+//! on disk, backward/forward *range scans* over disjoint subtree record
+//! windows with segmented `.sta` I/O). `sta_format` picks the layout of
+//! a disk run's `.sta` state stream ([`StaFormat`]; unset, the
+//! `ARB_STA_FORMAT` environment variable decides, defaulting to the
+//! block-compressed layout). Which records a run reads is not a knob
+//! but the [`Database`]'s backing: to evaluate a disk database in
+//! memory, materialize it once —
+//! `Database::from_tree(db.to_tree()?, db.labels().clone())` (the CLI's
+//! `--memory`).
+//!
+//! ### One kernel, and its raw fronts
+//!
+//! Behind every one of these runs is a single function,
+//! [`core::kernel::evaluate`]: Algorithm 4.6 as one backward and one
+//! forward fold over a record stream, generic over where the records
+//! live ([`core::kernel::RecordSource`]: an in-memory tree, a v1 or v2
+//! file, any subtree window of them) and where the phase-1 states live
+//! ([`core::kernel::StateStore`]: a vector, the flat or block-compressed
+//! `.sta` file, or nothing for verdict-only runs). Sequential
+//! evaluation is its one-window plan, sharded evaluation the same folds
+//! over a frontier of windows; the module docs are the algorithm's
+//! long-form description.
+//!
+//! Harnesses and reference suites that hold a raw
+//! [`tmnf::CoreProgram`] use [`QueryBatch::from_programs`] +
+//! [`Database::prepare_batch`], or — where re-merging the program would
+//! drift pinned transition counts — the four thin fronts of the kernel:
+//! [`core::evaluate_tree`] / [`core::evaluate_tree_parallel`] in memory,
+//! [`engine::evaluate_disk`] / [`engine::evaluate_disk_parallel`] on
+//! disk.
 //!
 //! ## Build once, eval many
 //!

@@ -4,11 +4,10 @@
 //! in-memory batch path must agree with the naive datalog fixpoint),
 //! while the whole batch costs exactly one backward and one forward scan.
 
-use arb::core::evaluate_tree_batch;
 use arb::datagen::queries::{RandomPathQuery, R_TOP_DOWN};
 use arb::datagen::{treebank_tree, RegexShape, TreebankConfig};
-use arb::engine::{evaluate_disk, evaluate_disk_batch, QueryBatch};
-use arb::storage::{create_from_tree, ArbDatabase};
+use arb::engine::{evaluate_disk, Database, QueryBatch};
+use arb::storage::create_from_tree;
 use arb::tmnf::{naive, normalize, parse_program, CoreProgram};
 use arb::tree::{BinaryTree, LabelTable};
 use proptest::prelude::*;
@@ -46,12 +45,12 @@ fn compile_batch(k: usize, seed: u64, labels: &mut LabelTable) -> Vec<CoreProgra
         .collect()
 }
 
-fn materialize(tree: &BinaryTree, labels: &LabelTable) -> ArbDatabase {
+fn materialize(tree: &BinaryTree, labels: &LabelTable) -> Database {
     let dir = std::env::temp_dir().join(format!("arb-batchdiff-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join(format!("case-{}.arb", CASE.fetch_add(1, Ordering::Relaxed)));
     create_from_tree(tree, labels, &path).expect("create database");
-    ArbDatabase::open(&path).expect("open database")
+    Database::open_arb(&path).expect("open database")
 }
 
 proptest! {
@@ -64,10 +63,11 @@ proptest! {
     {
         let (tree, mut labels) = small_treebank(tree_seed);
         let progs = compile_batch(k, query_seed, &mut labels);
-        let db = materialize(&tree, &labels);
+        let database = materialize(&tree, &labels);
+        let db = database.as_disk().expect("disk backing");
 
         let batch = QueryBatch::from_programs(&progs);
-        let combined = evaluate_disk_batch(&batch, &db).expect("batch eval");
+        let combined = database.prepare_batch(&batch).run().expect("batch eval");
 
         // Acceptance criterion: one shared scan in each direction for
         // the whole batch, where k independent runs take k each. The
@@ -80,7 +80,7 @@ proptest! {
 
         let mut independent_scans = 0u64;
         for (prog, out) in progs.iter().zip(&combined.outcomes) {
-            let indep = evaluate_disk(prog, &db).expect("independent eval");
+            let indep = evaluate_disk(prog, db).expect("independent eval");
             independent_scans += indep.stats.backward_scans + indep.stats.forward_scans;
             prop_assert_eq!(out.selected.to_vec(), indep.selected.to_vec());
             prop_assert_eq!(&out.per_pred_counts, &indep.per_pred_counts);
@@ -98,15 +98,16 @@ proptest! {
     {
         let (tree, mut labels) = small_treebank(tree_seed);
         let progs = compile_batch(k, query_seed, &mut labels);
-        let refs: Vec<&CoreProgram> = progs.iter().collect();
-        let batched = evaluate_tree_batch(&refs, &tree);
-        prop_assert_eq!(batched.result.stats.backward_scans, 1);
-        prop_assert_eq!(batched.result.stats.forward_scans, 1);
+        let batch = QueryBatch::from_programs(&progs);
+        let db = Database::from_tree(tree.clone(), labels);
+        let batched = db.prepare_batch(&batch).run().expect("batch eval");
+        prop_assert_eq!(batched.stats.backward_scans, 1);
+        prop_assert_eq!(batched.stats.forward_scans, 1);
 
         for (i, prog) in progs.iter().enumerate() {
             let oracle = naive::evaluate(prog, &tree);
             let q = prog.query_pred().expect("query pred");
-            let selected = batched.selected(i);
+            let selected = &batched.outcomes[i].selected;
             for v in tree.nodes() {
                 prop_assert_eq!(
                     selected.contains(v),

@@ -105,7 +105,7 @@ fn parallel_equivalence_on_infix() {
     let query = db.compile_tmnf(&src).unwrap();
     let session = db.prepare(std::slice::from_ref(&query));
     let seq_out = session.run_one().unwrap();
-    let par = arb::core::parallel::evaluate_tree_parallel(query.program(), &tree, 4);
+    let par = arb::core::evaluate_tree_parallel(query.program(), &tree, 4);
     assert_eq!(par.stats.selected, seq_out.stats.selected);
     // The same parallelism is reachable through the prepared surface.
     let par_opt = session

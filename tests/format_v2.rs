@@ -276,15 +276,19 @@ fn eval_everywhere(path: &Path) -> (Vec<Vec<u64>>, Vec<Vec<Vec<u32>>>, Vec<bool>
     let mut db = Database::open_arb(path).expect("open");
     let q1 = db.compile_xpath("//x").expect("xpath");
     let q2 = db.compile_tmnf("QUERY :- V.Label[y];").expect("tmnf");
-    let session = db.prepare(&[q1, q2]);
-    let requests = [
-        EvalRequest::new(),
-        EvalRequest::new().parallelism(2),
-        EvalRequest::new().prefer_memory(true),
+    let queries = [q1, q2];
+    let session = db.prepare(&queries);
+    // The third shape evaluates the materialized tree instead of the file.
+    let memory = Database::from_tree(db.to_tree().expect("materialize"), db.labels().clone());
+    let memory_session = memory.prepare(&queries);
+    let runs = [
+        (&session, EvalRequest::new()),
+        (&session, EvalRequest::new().parallelism(2)),
+        (&memory_session, EvalRequest::new()),
     ];
     let mut counts = Vec::new();
     let mut sets = Vec::new();
-    for req in &requests {
+    for (session, req) in &runs {
         let mut c = CountSink::default();
         session.eval(req, &mut c).expect("count eval");
         counts.push(c.into_counts());

@@ -1,8 +1,8 @@
 //! Sink equivalence for the prepared `Session`/`EvalRequest` surface:
 //! on generated treebank and ACGT documents, every provided sink must
-//! agree with (a) the corresponding legacy `Database::evaluate*` method
-//! (now a shim — this pins the shim wiring) and (b) the raw un-merged
-//! evaluation kernels (`arb_engine::evaluate_disk` on disk,
+//! agree with (a) the convenience wrappers (`run_one`, `run_boolean`,
+//! `run_marked`) on single-query and batch sessions and (b) the raw
+//! un-merged kernel fronts (`arb_engine::evaluate_disk` on disk,
 //! `arb::core::evaluate_tree` + `MarkedWriter` on memory — independent
 //! oracles that never see the merged batch IR). Checked for memory and
 //! disk backends, single-query and batched sessions, sequential and
@@ -12,8 +12,6 @@
 //! sequential disk == in-memory, across thread counts, single and
 //! batched — the §6.2-on-disk guarantee) and the concurrent-session
 //! regression for the once-shared `.sta` scratch path.
-
-#![allow(deprecated)] // comparing against the legacy matrix is the point
 
 use arb::datagen::queries::{RandomPathQuery, R_INFIX, R_TOP_DOWN};
 use arb::datagen::{acgt_infix_tree, random_acgt, treebank_tree, RegexShape, TreebankConfig};
@@ -103,30 +101,30 @@ fn check_sink_equivalence(db: &mut Database, sources: &[String]) {
 
     let session = db.prepare(&queries);
 
-    // --- NodeSetSink == oracle sets == legacy evaluate -----------------
+    // --- NodeSetSink == oracle sets == single-query sessions -----------
     let mut sets = NodeSetSink::default();
     let report = session.eval(&EvalRequest::new(), &mut sets).unwrap();
     prop_assert_eq!(sets.sets().len(), k);
     for (i, (q, oracle)) in queries.iter().zip(&oracle_sets).enumerate() {
         prop_assert_eq!(sets.sets()[i].to_vec(), oracle.to_vec(), "query {}", i);
-        let legacy = db.evaluate(q).unwrap();
-        prop_assert_eq!(sets.sets()[i].to_vec(), legacy.selected.to_vec());
+        let single = db.prepare(std::slice::from_ref(q)).run_one().unwrap();
+        prop_assert_eq!(sets.sets()[i].to_vec(), single.selected.to_vec());
         prop_assert_eq!(
             report.batch.as_ref().unwrap().outcomes[i]
                 .per_pred_counts
                 .clone(),
-            legacy.per_pred_counts
+            single.per_pred_counts
         );
     }
 
-    // --- CountSink == legacy evaluate counts ---------------------------
+    // --- CountSink == oracle counts ------------------------------------
     let mut counts = CountSink::default();
     session.eval(&EvalRequest::new(), &mut counts).unwrap();
     for (i, oracle) in oracle_sets.iter().enumerate() {
         prop_assert_eq!(counts.counts()[i], oracle.count() as u64);
     }
 
-    // --- BooleanSink == oracle root membership == legacy boolean -------
+    // --- BooleanSink == oracle root membership == single verdicts ------
     let mut bools = BooleanSink::default();
     let report = session.eval(&EvalRequest::new(), &mut bools).unwrap();
     prop_assert!(report.batch.is_none(), "verdict demand skips phase 2");
@@ -137,45 +135,40 @@ fn check_sink_equivalence(db: &mut Database, sources: &[String]) {
             "query {}",
             i
         );
-        prop_assert_eq!(bools.verdicts()[i], db.evaluate_boolean(q).unwrap());
+        let single = db.prepare(std::slice::from_ref(q)).run_boolean().unwrap();
+        prop_assert_eq!(bools.verdicts()[i], single[0]);
     }
 
-    // --- XmlMarkSink == MarkedWriter oracle == legacy marked -----------
+    // --- XmlMarkSink == MarkedWriter oracle == run_marked --------------
     let mut mark = XmlMarkSink::new(db.labels(), Vec::new());
     session.eval(&EvalRequest::new(), &mut mark).unwrap();
     let marked = mark.into_inner().expect("run completed");
     prop_assert_eq!(&marked, &oracle_marked);
-    let mut legacy_marked = Vec::new();
-    if k == 1 {
-        db.evaluate_marked(&queries[0], &mut legacy_marked).unwrap();
-    } else {
-        let batch = arb::QueryBatch::new(&queries);
-        db.evaluate_batch_marked(&batch, &mut legacy_marked)
-            .unwrap();
-    }
-    prop_assert_eq!(&marked, &legacy_marked);
+    let mut run_marked = Vec::new();
+    session.run_marked(&mut run_marked).unwrap();
+    prop_assert_eq!(&marked, &run_marked);
 
-    // --- Options: frontier-parallel (+ prefer_memory on disk) ----------
-    let par = session
-        .run_with(
-            &EvalRequest::new()
-                .prefer_memory(db.as_disk().is_some())
-                .parallelism(3),
-        )
-        .unwrap();
-    for (i, oracle) in oracle_sets.iter().enumerate() {
-        prop_assert_eq!(par.outcomes[i].selected.to_vec(), oracle.to_vec());
+    // --- Options: frontier-parallel, here and on the materialized tree -
+    let req = EvalRequest::new().parallelism(3);
+    let materialized = Database::from_tree(tree.clone(), db.labels().clone());
+    for par in [
+        session.run_with(&req).unwrap(),
+        materialized.prepare(&queries).run_with(&req).unwrap(),
+    ] {
+        for (i, oracle) in oracle_sets.iter().enumerate() {
+            prop_assert_eq!(par.outcomes[i].selected.to_vec(), oracle.to_vec());
+        }
     }
 
-    // --- Legacy batch shims still demux identically --------------------
+    // --- A session over an existing batch demuxes identically ----------
     let batch = arb::QueryBatch::new(&queries);
-    let legacy_batch = db.evaluate_batch(&batch).unwrap();
-    prop_assert_eq!(legacy_batch.stats.backward_scans, 1);
+    let over_batch = db.prepare_batch(&batch);
+    let batch_run = over_batch.run().unwrap();
+    prop_assert_eq!(batch_run.stats.backward_scans, 1);
     for (i, oracle) in oracle_sets.iter().enumerate() {
-        prop_assert_eq!(legacy_batch.outcomes[i].selected.to_vec(), oracle.to_vec());
+        prop_assert_eq!(batch_run.outcomes[i].selected.to_vec(), oracle.to_vec());
     }
-    let legacy_bools = db.evaluate_boolean_batch(&batch).unwrap();
-    prop_assert_eq!(legacy_bools, bools.verdicts().to_vec());
+    prop_assert_eq!(over_batch.run_boolean().unwrap(), bools.verdicts().to_vec());
 }
 
 /// A treebank document big enough to admit a sharding frontier (the

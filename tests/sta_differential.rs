@@ -5,6 +5,11 @@
 //! random query batches over generated documents, sequentially and
 //! sharded over 1, 2 and 4 workers.
 //!
+//! Below the session surface, the same holds for the evaluation kernel's
+//! whole parameter matrix — every record source × every state store ×
+//! thread counts × demands, driven directly and checked against the
+//! naive fixpoint (`kernel_matrix_agrees_with_naive`).
+//!
 //! The whole suite pins `ARB_STA_BLOCK_RECORDS=64` (via the
 //! `EvalOptions`-independent env knob, set once before any evaluation),
 //! so the few-hundred-node documents span many blocks and the sharded
@@ -12,10 +17,16 @@
 //! splits on subtree boundaries, which almost never coincide with a
 //! 64-record frame.
 
+use arb::core::kernel::{self, Demand, NoStore, RecordSource, StateStore, VecStore, Visit};
+use arb::core::{AutomataPool, EvalStats};
 use arb::datagen::queries::{RandomPathQuery, R_TOP_DOWN};
 use arb::datagen::{treebank_tree, RegexShape, TreebankConfig};
+use arb::engine::diskeval::{DiskSource, StaStore};
 use arb::engine::{BooleanSink, CountSink, EvalRequest, NodeSetSink, XmlMarkSink};
-use arb::tree::{BinaryTree, LabelTable};
+use arb::logic::{Atom, ProgramId};
+use arb::storage::{create_from_tree_with, ArbDatabase, FormatVersion, ScratchPath};
+use arb::tmnf::{merge_programs, naive, normalize, parse_program, CoreProgram};
+use arb::tree::{BinaryTree, LabelTable, NodeId};
 use arb::{Database, StaFormat};
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -30,19 +41,23 @@ fn pin_tiny_blocks() {
     TINY_BLOCKS.call_once(|| std::env::set_var("ARB_STA_BLOCK_RECORDS", "64"));
 }
 
-/// A small seeded treebank document (a few hundred nodes — dozens of
-/// 64-record blocks).
-fn small_treebank(seed: u64) -> (BinaryTree, LabelTable) {
+/// A seeded treebank document of about `elems` element nodes.
+fn treebank(elems: usize, seed: u64) -> (BinaryTree, LabelTable) {
     let mut labels = LabelTable::new();
     let tree = treebank_tree(
         &TreebankConfig {
-            target_elems: 250,
+            target_elems: elems,
             seed,
             filler_tags: 8,
         },
         &mut labels,
     );
     (tree, labels)
+}
+
+/// A small document (a few hundred nodes — dozens of 64-record blocks).
+fn small_treebank(seed: u64) -> (BinaryTree, LabelTable) {
+    treebank(250, seed)
 }
 
 /// Generates k random query sources against the treebank tag set.
@@ -137,6 +152,182 @@ proptest! {
                     mark.into_inner().expect("marked bytes"), mem_marked.clone(),
                     "marked XML: {} threads {}", format, threads
                 );
+            }
+        }
+    }
+}
+
+/// What one kernel run produced, reduced to what must agree everywhere.
+#[derive(Debug, PartialEq)]
+struct Observed {
+    verdicts: Vec<bool>,
+    sets: Vec<Vec<NodeId>>,
+    counts: Vec<u64>,
+    /// The hook's `(ix, flags)` sequence (empty unless streamed).
+    stream: Vec<(u32, Vec<bool>)>,
+}
+
+/// One kernel run; also returns the hook's ρ_A id stream and the stats.
+fn observe<R: RecordSource + ?Sized, S: StateStore>(
+    prog: &CoreProgram,
+    groups: &[Vec<Atom>],
+    source: &R,
+    store: &S,
+    demand: &str,
+    threads: usize,
+) -> (Observed, Vec<ProgramId>, EvalStats) {
+    let (mut stream, mut rho_a) = (Vec::new(), Vec::new());
+    let mut hook = |v: &Visit<'_>| {
+        stream.push((v.ix, v.selected_by.to_vec()));
+        rho_a.push(v.rho_a);
+    };
+    let demand = match demand {
+        "verdicts" => Demand::Verdicts,
+        "sets" => Demand::Sets,
+        _ => Demand::Stream(&mut hook),
+    };
+    let pool = AutomataPool::new();
+    let run =
+        kernel::evaluate(prog, source, store, groups, demand, threads, &pool).expect("kernel run");
+    let observed = Observed {
+        verdicts: run.verdicts,
+        sets: run.sets.iter().map(|s| s.to_vec()).collect(),
+        counts: run.counts,
+        stream,
+    };
+    (observed, rho_a, run.stats)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(3))]
+
+    /// The kernel's parameter matrix as one differential: source ∈ {tree,
+    /// v1 file, v2 file} × store ∈ {Vec, flat `.sta`, blocked `.sta`} ×
+    /// threads ∈ {1, 2, 3, 8} × demand ∈ {verdicts, sets, stream} all
+    /// agree with each other and with the naive fixpoint, on documents
+    /// big enough to shard.
+    #[test]
+    fn kernel_matrix_agrees_with_naive((k, tree_seed, query_seed) in
+        (1usize..=3, any::<u64>(), any::<u64>()))
+    {
+        pin_tiny_blocks();
+        let (tree, mut labels) = treebank(2_500, tree_seed);
+        let n = tree.len() as u32;
+        let progs: Vec<CoreProgram> = query_sources(k, query_seed)
+            .iter()
+            .map(|src| {
+                let mut prog = normalize(&parse_program(src, &mut labels).expect("query parses"));
+                let q = prog.pred_id("QUERY").expect("QUERY head");
+                prog.add_query_pred(q);
+                prog
+            })
+            .collect();
+        let merged = merge_programs(&progs.iter().collect::<Vec<_>>());
+        let groups: Vec<Vec<Atom>> = merged
+            .query_preds
+            .iter()
+            .map(|qs| qs.iter().map(|&p| Atom::local(p)).collect())
+            .collect();
+
+        // The oracle: each input program's least fixpoint.
+        let oracle_sets: Vec<Vec<NodeId>> = progs
+            .iter()
+            .map(|prog| {
+                let fix = naive::evaluate(prog, &tree);
+                let q = prog.query_pred().expect("query pred");
+                tree.nodes().filter(|&v| fix.holds(q, v)).collect()
+            })
+            .collect();
+        let expected = |demand: &str| Observed {
+            verdicts: oracle_sets.iter().map(|s| s.first() == Some(&NodeId(0))).collect(),
+            sets: match demand {
+                "verdicts" => vec![Vec::new(); k],
+                _ => oracle_sets.clone(),
+            },
+            counts: match demand {
+                "verdicts" => vec![0; k],
+                _ => oracle_sets.iter().map(|s| s.len() as u64).collect(),
+            },
+            stream: match demand {
+                "stream" => (0..n)
+                    .map(|ix| {
+                        let flags = oracle_sets
+                            .iter()
+                            .map(|s| s.binary_search(&NodeId(ix)).is_ok())
+                            .collect();
+                        (ix, flags)
+                    })
+                    .collect(),
+                _ => Vec::new(),
+            },
+        };
+
+        let dir = std::env::temp_dir().join(format!("arb-stadiff-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let case = CASE.fetch_add(1, Ordering::Relaxed);
+        let open = |format: FormatVersion| {
+            let path = dir.join(format!("matrix-{case}-{format}.arb"));
+            create_from_tree_with(&tree, &labels, &path, format).expect("create database");
+            ArbDatabase::open(&path).expect("open database")
+        };
+        let (v1, v2) = (open(FormatVersion::V1), open(FormatVersion::V2));
+
+        // One cell of the matrix; `store` is ignored by verdict runs.
+        // Like every real run, each cell gets a scratch stream of its own.
+        let cell = |source: &str, store: &str, demand: &str, threads: usize| {
+            let sta = ScratchPath::new(dir.join(format!(
+                "matrix-{case}-{source}-{store}-{demand}-{threads}.sta"
+            )));
+            macro_rules! with_store {
+                ($source:expr) => {
+                    match (demand, store) {
+                        ("verdicts", _) => observe(&merged.program, &groups, $source, &NoStore, demand, threads),
+                        (_, "vec") => observe(&merged.program, &groups, $source, &VecStore::new(n), demand, threads),
+                        (_, "flat") => observe(&merged.program, &groups, $source,
+                            &StaStore::new(sta.path(), StaFormat::Flat, n), demand, threads),
+                        _ => observe(&merged.program, &groups, $source,
+                            &StaStore::new(sta.path(), StaFormat::Blocked, n), demand, threads),
+                    }
+                };
+            }
+            match source {
+                "tree" => with_store!(&tree),
+                "v1" => with_store!(&DiskSource(&v1)),
+                _ => with_store!(&DiskSource(&v2)),
+            }
+        };
+
+        let mut sequential_rho_a: Option<Vec<ProgramId>> = None;
+        for source in ["tree", "v1", "v2"] {
+            for store in ["vec", "flat", "blocked"] {
+                for threads in [1usize, 2, 3, 8] {
+                    for demand in ["verdicts", "sets", "stream"] {
+                        if demand == "verdicts" && store != "vec" {
+                            continue; // verdict runs keep no store: once per source
+                        }
+                        let at = format!("{source} x {store} x {threads} threads x {demand}");
+                        let (observed, rho_a, stats) = cell(source, store, demand, threads);
+                        prop_assert_eq!(&observed, &expected(demand), "{}", at);
+                        let forward = u64::from(demand != "verdicts");
+                        if threads == 1 {
+                            prop_assert_eq!(
+                                (stats.backward_scans, stats.forward_scans), (1, forward), "{}", at
+                            );
+                        } else {
+                            prop_assert!(stats.backward_scans > 1, "{} did not shard", at);
+                            if demand != "sets" {
+                                // Only a sharded fold down opens a scan per window.
+                                prop_assert_eq!(stats.forward_scans, forward, "{}", at);
+                            }
+                        }
+                        if threads == 1 && demand == "stream" {
+                            // One program over one document is one ρ_A
+                            // id stream, wherever records and states live.
+                            let first = sequential_rho_a.get_or_insert_with(|| rho_a.clone());
+                            prop_assert_eq!(&rho_a, &*first, "{}", at);
+                        }
+                    }
+                }
             }
         }
     }

@@ -235,7 +235,7 @@ fn example_4_3_everywhere() {
     assert!(mem.holds(q, arb::tree::NodeId(0)));
     assert_eq!(mem.extent(q).count(), 1);
 
-    let par = arb::core::parallel::evaluate_tree_parallel(&prog, &tree, 2);
+    let par = arb::core::evaluate_tree_parallel(&prog, &tree, 2);
     assert_eq!(par.stats.selected, 1);
 
     let dir = std::env::temp_dir().join(format!("arb-e43-{}", std::process::id()));

@@ -11,8 +11,8 @@
 //! behavior end-to-end on both backends against the naive fixpoint and
 //! against independent per-query runs.
 
-use arb::engine::{evaluate_disk, evaluate_disk_batch, Database, QueryBatch};
-use arb::storage::{create_from_tree, ArbDatabase};
+use arb::engine::{evaluate_disk, Database, QueryBatch};
+use arb::storage::create_from_tree;
 use arb::tmnf::{naive, normalize, parse_program, CoreProgram};
 use arb::tree::{BinaryTree, LabelTable, TreeBuilder};
 
@@ -51,12 +51,12 @@ fn wide_batch(labels: &mut LabelTable) -> Vec<CoreProgram> {
         .collect()
 }
 
-fn disk_db(tree: &BinaryTree, labels: &LabelTable) -> ArbDatabase {
+fn disk_db(tree: &BinaryTree, labels: &LabelTable) -> Database {
     let dir = std::env::temp_dir().join(format!("arb-wide-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("wide.arb");
     create_from_tree(tree, labels, &path).expect("create database");
-    ArbDatabase::open(&path).expect("open database")
+    Database::open_arb(&path).expect("open database")
 }
 
 #[test]
@@ -71,7 +71,7 @@ fn merged_alphabet_past_128_evaluates_correctly_on_disk() {
     );
 
     let db = disk_db(&tree, &labels);
-    let combined = evaluate_disk_batch(&batch, &db).expect("batch eval");
+    let combined = db.prepare_batch(&batch).run().expect("batch eval");
     assert_eq!(combined.stats.backward_scans, 1);
     assert_eq!(combined.stats.forward_scans, 1);
 
@@ -85,7 +85,8 @@ fn merged_alphabet_past_128_evaluates_correctly_on_disk() {
             "query {i} selects its own leaf"
         );
         // Independent (narrow-schema) run as oracle.
-        let indep = evaluate_disk(prog, &db).expect("independent eval");
+        let indep =
+            evaluate_disk(prog, db.as_disk().expect("disk backing")).expect("independent eval");
         assert_eq!(out.selected.to_vec(), indep.selected.to_vec(), "query {i}");
     }
     // The interning report sees the wide alphabet.
@@ -100,11 +101,13 @@ fn merged_alphabet_past_128_matches_naive_in_memory() {
     let merged = arb::tmnf::merge_programs(&refs);
     assert!(merged.program.edbs().len() > 128);
 
-    let batched = arb::core::evaluate_tree_batch(&refs, &tree);
+    let batch = QueryBatch::from_programs(&progs);
+    let db = Database::from_tree(tree.clone(), labels);
+    let batched = db.prepare_batch(&batch).run().expect("batch eval");
     for (i, prog) in progs.iter().enumerate() {
         let oracle = naive::evaluate(prog, &tree);
         let q = prog.query_pred().expect("query pred");
-        let selected = batched.selected(i);
+        let selected = &batched.outcomes[i].selected;
         for v in tree.nodes() {
             assert_eq!(
                 selected.contains(v),
