@@ -19,10 +19,18 @@
 //!   arena, so a merged batch may mention any number of EDB atoms;
 //! * each distinct vector gets a dense [`AlphabetId`] (`u32`), shrinking
 //!   the δ_A key to 12 bytes;
-//! * a packed-`NodeInfo` memo table answers the per-node symbol lookup
-//!   with one small-key probe instead of evaluating all `|σ|` EDB atoms
-//!   — the unmemoized path runs at most once per distinct
-//!   (label, has_first, has_second, is_root) combination.
+//! * the per-node lookup is **one array load**: a node's symbol depends
+//!   only on its label and three flags, which [`NodeInfo::symbol_key`]
+//!   packs as `label·8 + flags`, and a table indexed by that key holds
+//!   the symbol id. The schema is evaluated at most once per distinct
+//!   key.
+//!
+//! The direct-indexed table grows with the largest key seen and covers
+//! every key below 2^17 — the whole 14-bit label space of the `.arb`
+//! formats, 512 KiB if a document really used all of it (the 424k-node
+//! treebank's 507 labels take 16 KiB). In-memory trees may carry larger
+//! label ids; those keys are memoized in a hash table instead, so the
+//! table's size is bounded whatever the input.
 
 use arb_logic::{FxCache, RawTable};
 use arb_tmnf::EdbAtom;
@@ -32,23 +40,19 @@ use arb_tree::NodeInfo;
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
 pub struct AlphabetId(pub u32);
 
-/// Packs the fields a schema symbol can depend on into one memo key:
-/// the full 16-bit label index in bits 0–15, the three structural flags
-/// from bit 16 up (flags must never move below bit 16 or labels would
-/// alias). Public so the lazy automata can key their fused per-node
-/// transition memo on it.
-#[inline]
-pub fn pack(info: &NodeInfo) -> u32 {
-    info.label.0 as u32
-        | (info.has_first as u32) << 16
-        | (info.has_second as u32) << 17
-        | (info.is_root as u32) << 18
-}
+/// Keys below this are memoized by direct index, the rest by hash.
+const DENSE_KEYS: u32 = 1 << 17;
+
+/// "No symbol memoized for this key yet."
+const UNKNOWN: u32 = u32::MAX;
 
 /// Interner mapping EDB truth vectors to dense [`AlphabetId`]s, with a
 /// per-`NodeInfo` memo in front (the per-node fast path).
 pub struct AlphabetInterner {
-    /// Packed [`NodeInfo`] → symbol id.
+    /// [`NodeInfo::symbol_key`] → symbol id, for keys below
+    /// [`DENSE_KEYS`]; [`UNKNOWN`] where none is memoized.
+    dense: Vec<u32>,
+    /// The same memo for the keys past the dense table.
     memo: FxCache<u32>,
     /// Flat arena of truth vectors: `words_per_symbol` words per id.
     words: Vec<u64>,
@@ -64,6 +68,7 @@ impl AlphabetInterner {
     /// An interner for a schema of `edb_count` atoms.
     pub fn new(edb_count: usize) -> Self {
         AlphabetInterner {
+            dense: Vec::new(),
             memo: FxCache::new(),
             words: Vec::new(),
             words_per_symbol: edb_count.div_ceil(64).max(1),
@@ -79,18 +84,33 @@ impl AlphabetInterner {
         &self.words[start..start + self.words_per_symbol]
     }
 
-    /// The symbol of a node: memo hit on the packed [`NodeInfo`], else
-    /// evaluate the schema and intern the truth vector.
+    /// The symbol of a node if the direct-indexed table already holds it
+    /// — the per-node hit path of the lazy automata.
     #[inline]
-    pub fn symbol(&mut self, edbs: &[EdbAtom], info: &NodeInfo) -> AlphabetId {
-        let key = pack(info);
-        if let Some(id) = self.memo.get(&key) {
-            return AlphabetId(id);
+    pub fn known_symbol(&self, info: &NodeInfo) -> Option<AlphabetId> {
+        match self.dense.get(info.symbol_key() as usize) {
+            Some(&id) if id != UNKNOWN => Some(AlphabetId(id)),
+            _ => None,
         }
-        self.symbol_slow(edbs, info, key)
     }
 
-    fn symbol_slow(&mut self, edbs: &[EdbAtom], info: &NodeInfo, key: u32) -> AlphabetId {
+    /// The symbol of a node: memo hit on its key, else evaluate the
+    /// schema and intern the truth vector.
+    #[inline]
+    pub fn symbol(&mut self, edbs: &[EdbAtom], info: &NodeInfo) -> AlphabetId {
+        match self.known_symbol(info) {
+            Some(id) => id,
+            None => self.symbol_slow(edbs, info),
+        }
+    }
+
+    fn symbol_slow(&mut self, edbs: &[EdbAtom], info: &NodeInfo) -> AlphabetId {
+        let key = info.symbol_key();
+        if key >= DENSE_KEYS {
+            if let Some(id) = self.memo.get(&key) {
+                return AlphabetId(id);
+            }
+        }
         debug_assert!(edbs.len() <= self.words_per_symbol * 64);
         self.scratch.clear();
         self.scratch.resize(self.words_per_symbol, 0);
@@ -118,7 +138,14 @@ impl AlphabetInterner {
                 id
             }
         };
-        self.memo.insert(key, id);
+        if key < DENSE_KEYS {
+            if self.dense.len() <= key as usize {
+                self.dense.resize(key as usize + 1, UNKNOWN);
+            }
+            self.dense[key as usize] = id;
+        } else {
+            self.memo.insert(key, id);
+        }
         AlphabetId(id)
     }
 
@@ -138,9 +165,11 @@ impl AlphabetInterner {
         self.hashes.is_empty()
     }
 
-    /// Heap footprint (vector arena, hashes, memo, slot array), in bytes.
+    /// Heap footprint (vector arena, hashes, both memos, slot array), in
+    /// bytes.
     pub fn byte_size(&self) -> usize {
-        self.words.capacity() * std::mem::size_of::<u64>()
+        self.dense.capacity() * std::mem::size_of::<u32>()
+            + self.words.capacity() * std::mem::size_of::<u64>()
             + self.hashes.capacity() * std::mem::size_of::<u64>()
             + self.table.byte_size()
             + self.memo.byte_size()
@@ -205,6 +234,31 @@ mod tests {
         ids.sort_unstable();
         ids.dedup();
         assert_eq!(ids.len(), n as usize, "all {n} symbols distinct");
+    }
+
+    #[test]
+    fn labels_past_the_dense_table_are_memoized_by_hash() {
+        // Label ids of the `.arb` formats end at 2^14; an in-memory tree
+        // may carry any u16. Both sides of the boundary resolve alike and
+        // only the low keys take table space.
+        let edbs = vec![EdbAtom::Label(LabelId(40_000)), EdbAtom::Leaf];
+        let mut a = AlphabetInterner::new(edbs.len());
+        let low = info((DENSE_KEYS / 8 - 1) as u16, false, false, false);
+        let high = info((DENSE_KEYS / 8) as u16, false, false, false);
+        let hit = info(40_000, false, false, false);
+        let (s_low, s_high, s_hit) = (
+            a.symbol(&edbs, &low),
+            a.symbol(&edbs, &high),
+            a.symbol(&edbs, &hit),
+        );
+        assert_eq!(s_low, s_high, "neither is the mentioned label");
+        assert_ne!(s_hit, s_low);
+        assert_eq!(a.known_symbol(&low), Some(s_low));
+        assert_eq!(a.known_symbol(&high), None, "past the dense table");
+        assert_eq!(a.symbol(&edbs, &high), s_high, "the hash memo answers");
+        assert_eq!(a.symbol(&edbs, &hit), s_hit);
+        assert_eq!(a.len(), 2);
+        assert!(a.dense.len() <= DENSE_KEYS as usize);
     }
 
     #[test]

@@ -41,13 +41,35 @@
 //! Where the records and the states live is a parameter, not a variant
 //! of the algorithm. A [`RecordSource`] opens backward and forward
 //! [`RecordStream`]s over any window, answers point reads for the spine
-//! and supplies the subtree extents the planner splits on; a
-//! [`StateStore`] opens a backward writer and a forward reader per
-//! window and takes the spine's states as patches. An in-memory
-//! [`BinaryTree`] and [`VecStore`] live here; the `.arb` scans and the
-//! flat / block-compressed `.sta` files are adapted in `arb-engine`.
-//! Both are generic parameters, monomorphised per pairing — nothing is
-//! resolved per node.
+//! and lends the subtree extents the planner splits on; a [`StateStore`]
+//! opens a backward writer and a forward reader per window and takes the
+//! spine's states as patches. An in-memory [`BinaryTree`] and
+//! [`VecStore`] live here; the `.arb` scans and the flat /
+//! block-compressed `.sta` files are adapted in `arb-engine`. Both are
+//! generic parameters, monomorphised per pairing — nothing is resolved
+//! per node.
+//!
+//! Both sides move **runs**, not nodes. A record stream yields slices —
+//! a decoded v2 block, a slab of v1 records, a chunk of a tree — and the
+//! two stack folds walk each slice in a plain loop, so a source's
+//! framing, I/O and error handling are paid once per run. The fold up
+//! collects ρ_A into runs of `STATE_RUN` ids, filled from the back so
+//! that each is in **ascending node order**, and hands them to
+//! [`StateWriter::write_run`] (each run directly below the previous
+//! one); the fold down asks [`StateReader::read_run`] for the states of
+//! the next nodes, never past its window. Per node, what is left is the
+//! automaton step itself — a few array loads
+//! ([`QueryAutomata::bottom_up`] / [`QueryAutomata::top_down`]) — and an
+//! occurrence count in the demultiplexer, which looks the query atoms up
+//! once per predicate set rather than once per node.
+//!
+//! Runs do not loosen the **error latch**. A reader that meets damage
+//! part-way through a run returns the intact states first and the error
+//! on its next call; the fold down validates every id on its own, in
+//! node order, before it indexes anything; and after the first failed
+//! read or validation nothing more is fed to the automaton, the demux or
+//! the hook. A sink therefore sees exactly the nodes ahead of the first
+//! bad id, and the error names that node.
 //!
 //! # Why the order is fixed
 //!
@@ -61,7 +83,7 @@
 use crate::frontier::SubtreeIndex;
 use crate::lazy::{AutomataPool, QueryAutomata};
 use crate::stats::EvalStats;
-use arb_logic::{Atom, PredSetId, PredSetView, ProgramId};
+use arb_logic::{Atom, PredSetId, PredSetInterner, PredSetView, ProgramId};
 use arb_tmnf::CoreProgram;
 use arb_tree::traverse::{
     bottom_up_scan_seeded, top_down_scan, DownContext, Preorder, Record, RecordStream,
@@ -93,10 +115,11 @@ pub trait RecordSource: Sync {
     fn forward(&self, lo: u32, hi: u32) -> io::Result<Self::Forward<'_>>;
     /// A single record (the spine is a handful of scattered nodes).
     fn record_at(&self, ix: u32) -> io::Result<NodeInfo>;
-    /// The subtree extents the planner splits on, plus the number of
+    /// The subtree extents the planner splits on — borrowed, where the
+    /// source keeps them cached across runs — plus the number of
     /// backward metadata scans obtaining them cost (0 when cached or
     /// computed without a scan).
-    fn subtree_index(&self) -> io::Result<(SubtreeIndex<'static>, u64)>;
+    fn subtree_index(&self) -> io::Result<(SubtreeIndex<'_>, u64)>;
     /// On-disk format version, 0 for memory (`EvalStats::db_format`).
     fn format_version(&self) -> u8 {
         0
@@ -128,23 +151,34 @@ impl RecordSource for BinaryTree {
         Ok(self.info(NodeId(ix)))
     }
 
-    fn subtree_index(&self) -> io::Result<(SubtreeIndex<'static>, u64)> {
+    /// A bare tree has nowhere to keep its extents: every sharded run
+    /// folds them afresh (the engine's memory backing caches them beside
+    /// its tree instead).
+    fn subtree_index(&self) -> io::Result<(SubtreeIndex<'_>, u64)> {
         Ok((SubtreeIndex::from_seq(self)?, 0))
     }
 }
 
-/// Receives one window's ρ_A states during the fold up.
+/// Receives one window's ρ_A states during the fold up, a run at a time.
 pub trait StateWriter {
-    /// Takes the state of the next node (the fold visits `hi − 1 .. lo`).
-    fn write(&mut self, state: u32) -> io::Result<()>;
+    /// Takes the states of the next run of nodes. The fold visits
+    /// `hi − 1 .. lo`, so each run lies directly below the one before it;
+    /// *within* a run the states are in ascending node order, ready to be
+    /// copied or encoded as they stand.
+    fn write_run(&mut self, states: &[u32]) -> io::Result<()>;
     /// Completes the window; returns the encoded bytes it occupies.
     fn finish(self) -> io::Result<u64>;
 }
 
-/// Serves ρ_A states back in preorder during the fold down.
+/// Serves ρ_A states back in preorder during the fold down, a run at a
+/// time.
 pub trait StateReader {
-    /// The state of the next node.
-    fn read(&mut self) -> io::Result<u32>;
+    /// Fills a prefix of `out` with the states of the next nodes and
+    /// returns its length — at least 1 for a non-empty `out`. A reader
+    /// that meets a failure part-way delivers the intact states before it
+    /// first and the error on the next call, so the fold down sees
+    /// exactly the nodes ahead of the damage.
+    fn read_run(&mut self, out: &mut [u32]) -> io::Result<usize>;
     /// Bytes of state data delivered so far (`EvalStats::sta_decoded_bytes`).
     fn decoded_bytes(&self) -> u64 {
         0
@@ -205,14 +239,15 @@ pub struct VecCursor<'a> {
 }
 
 impl StateWriter for VecCursor<'_> {
-    #[inline]
-    fn write(&mut self, state: u32) -> io::Result<()> {
-        let slot = self
+    fn write_run(&mut self, states: &[u32]) -> io::Result<()> {
+        let lo = self
             .next
-            .checked_sub(1)
+            .checked_sub(states.len())
             .ok_or_else(|| invalid("more states written than the window holds".into()))?;
-        self.slots[slot].store(state, Ordering::Relaxed);
-        self.next = slot;
+        for (slot, &s) in self.slots[lo..self.next].iter().zip(states) {
+            slot.store(s, Ordering::Relaxed);
+        }
+        self.next = lo;
         Ok(())
     }
 
@@ -225,16 +260,20 @@ impl StateWriter for VecCursor<'_> {
 }
 
 impl StateReader for VecCursor<'_> {
-    #[inline]
-    fn read(&mut self) -> io::Result<u32> {
-        let slot = self.slots.get(self.next).ok_or_else(|| {
-            invalid(format!(
+    fn read_run(&mut self, out: &mut [u32]) -> io::Result<usize> {
+        let rest = &self.slots[self.next..];
+        if rest.is_empty() && !out.is_empty() {
+            return Err(invalid(format!(
                 "no state for node {}",
                 self.base as usize + self.next
-            ))
-        })?;
-        self.next += 1;
-        Ok(slot.load(Ordering::Relaxed))
+            )));
+        }
+        let k = out.len().min(rest.len());
+        for (o, slot) in out.iter_mut().zip(rest) {
+            *o = slot.load(Ordering::Relaxed);
+        }
+        self.next += k;
+        Ok(k)
     }
 }
 
@@ -276,8 +315,7 @@ impl StateStore for VecStore {
 pub struct NoStore;
 
 impl StateWriter for NoStore {
-    #[inline]
-    fn write(&mut self, _state: u32) -> io::Result<()> {
+    fn write_run(&mut self, _states: &[u32]) -> io::Result<()> {
         Ok(())
     }
 
@@ -287,7 +325,7 @@ impl StateWriter for NoStore {
 }
 
 impl StateReader for NoStore {
-    fn read(&mut self) -> io::Result<u32> {
+    fn read_run(&mut self, _out: &mut [u32]) -> io::Result<usize> {
         Err(invalid("this run kept no state stream".into()))
     }
 }
@@ -362,14 +400,34 @@ fn invalid(msg: String) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, msg)
 }
 
+/// States per run between the folds and a state store: the fold up
+/// collects this many ρ_A ids before it hands them to the writer, the
+/// fold down asks the reader for this many at a time. Anything from a
+/// few hundred up amortises the call — warm disk evaluations of the
+/// treebank pool measured 40.5–41.1 ns/node at 256, 40.4–41.1 at 4096 and
+/// 41.0–41.6 at 32 Ki — so it is a constant: 4096 ids are 16 KiB of
+/// stack.
+const STATE_RUN: usize = 4096;
+
 /// Demultiplexes predicate sets into one node set per group and one
-/// count per atom — every atom is tested once per node, which is what
-/// makes batch demultiplexing free.
+/// count per atom. The query atoms are looked up once per *predicate set*
+/// — a window sees a handful of distinct ρ_B ids — and a node only bumps
+/// its set's occurrence count, and enters a node set only if its set
+/// selects something; that is what makes batch demultiplexing free.
 struct Demux<'g> {
     groups: &'g [Vec<Atom>],
+    /// Per-atom counts settled so far (see [`Demux::settle`]).
     counts: Vec<u64>,
     sets: Vec<NodeSet>,
+    /// Per ρ_B id: does any query atom hold in it? Resolved on first
+    /// sight (`None` until then).
+    selects: Vec<Option<bool>>,
+    /// Per ρ_B id: nodes seen with it since the last settle.
+    occurrences: Vec<u64>,
+    /// Per ρ_B id × group: does an atom of the group hold?
     flags: Vec<bool>,
+    /// Per ρ_B id × atom (flattened in group order): does it hold?
+    hits: Vec<bool>,
 }
 
 impl<'g> Demux<'g> {
@@ -381,31 +439,74 @@ impl<'g> Demux<'g> {
             groups,
             counts: vec![0; groups.iter().map(Vec::len).sum()],
             sets: groups.iter().map(|_| NodeSet::new(len as usize)).collect(),
-            flags: vec![false; groups.len()],
+            selects: Vec::new(),
+            occurrences: Vec::new(),
+            flags: Vec::new(),
+            hits: Vec::new(),
         }
     }
 
-    #[inline]
-    fn node(&mut self, preds: PredSetView<'_>, ix: u32) {
-        let mut offset = 0usize;
+    /// Looks the query atoms up in predicate set `q`.
+    #[cold]
+    fn resolve(&mut self, q: usize, preds: PredSetView<'_>) {
+        if self.selects.len() <= q {
+            self.selects.resize(q + 1, None);
+            self.occurrences.resize(q + 1, 0);
+            self.flags.resize((q + 1) * self.groups.len(), false);
+            self.hits.resize((q + 1) * self.counts.len(), false);
+        }
+        let mut atom = q * self.counts.len();
+        let mut some = false;
         for (g, atoms) in self.groups.iter().enumerate() {
             let mut any = false;
-            for (j, a) in atoms.iter().enumerate() {
-                if preds.contains(*a) {
-                    self.counts[offset + j] += 1;
-                    any = true;
-                }
+            for a in atoms {
+                self.hits[atom] = preds.contains(*a);
+                any |= self.hits[atom];
+                atom += 1;
             }
-            if any {
-                self.sets[g].insert(NodeId(ix));
+            self.flags[q * self.groups.len() + g] = any;
+            some |= any;
+        }
+        self.selects[q] = Some(some);
+    }
+
+    /// Records node `ix` (window-relative) as carrying predicate set
+    /// `rho_b`; returns one selected-flag per group.
+    #[inline]
+    fn node(&mut self, rho_b: PredSetId, predsets: &PredSetInterner, ix: u32) -> &[bool] {
+        let q = rho_b.0 as usize;
+        if self.selects.get(q).is_none_or(Option::is_none) {
+            self.resolve(q, predsets.get(rho_b));
+        }
+        self.occurrences[q] += 1;
+        let flags = &self.flags[q * self.groups.len()..(q + 1) * self.groups.len()];
+        if self.selects[q] == Some(true) {
+            for (set, _) in self.sets.iter_mut().zip(flags).filter(|(_, f)| **f) {
+                set.insert(NodeId(ix));
             }
-            self.flags[g] = any;
-            offset += atoms.len();
+        }
+        flags
+    }
+
+    /// Turns the occurrence counts into per-atom counts.
+    fn settle(&mut self) {
+        let atoms = self.counts.len();
+        for (q, seen) in self.occurrences.iter_mut().enumerate() {
+            for (count, _) in self
+                .counts
+                .iter_mut()
+                .zip(&self.hits[q * atoms..(q + 1) * atoms])
+                .filter(|(_, hit)| **hit)
+            {
+                *count += *seen;
+            }
+            *seen = 0;
         }
     }
 
     /// Adds a window's results at preorder offset `lo`.
-    fn absorb(&mut self, lo: u32, window: Demux<'_>) {
+    fn absorb(&mut self, lo: u32, mut window: Demux<'_>) {
+        window.settle();
         for (acc, c) in self.counts.iter_mut().zip(window.counts) {
             *acc += c;
         }
@@ -418,27 +519,39 @@ impl<'g> Demux<'g> {
 }
 
 /// Folds one window up: the bottom-up automaton over a backward record
-/// stream, every state handed to `put`. `seed` is the state of the
-/// window root's second child when that child lies just past the window
-/// (an incremental re-fold over an edited record window); a whole
+/// stream. ρ_A is handed to `put` a run at a time — `put(ix, states)`
+/// receives the states of nodes `ix .. ix + states.len()` in ascending
+/// order, each run directly below the one before. `seed` is the state of
+/// the window root's second child when that child lies just past the
+/// window (an incremental re-fold over an edited record window); a whole
 /// subtree takes `None`. Returns the window root's state.
 pub fn fold_up<R: RecordStream>(
     scan: &mut R,
     qa: &mut QueryAutomata,
     seed: Option<ProgramId>,
-    mut put: impl FnMut(u32, ProgramId) -> io::Result<()>,
+    mut put: impl FnMut(u32, &[u32]) -> io::Result<()>,
 ) -> io::Result<ProgramId> {
+    // The run fills from the back, so it is in ascending node order.
+    let mut run = [0u32; STATE_RUN];
+    let mut free = STATE_RUN;
+    let mut lowest = 0u32;
     let mut put_err: Option<io::Error> = None;
     let root = bottom_up_scan_seeded(scan, seed, |s1, s2, rec, ix| {
         let s = qa.bottom_up(s1, s2, rec.info(ix));
-        if let Err(e) = put(ix, s) {
-            put_err.get_or_insert(e);
+        if free == 0 {
+            if put_err.is_none() {
+                put_err = put(lowest, &run).err();
+            }
+            free = STATE_RUN;
         }
+        free -= 1;
+        run[free] = s.0;
+        lowest = ix;
         s
     })?;
     match put_err {
         Some(e) => Err(e),
-        None => Ok(root),
+        None => put(lowest, &run[free..]).map(|()| root),
     }
 }
 
@@ -452,7 +565,7 @@ fn fold_window_up<R: RecordSource + ?Sized, S: StateStore>(
 ) -> io::Result<(ProgramId, u64)> {
     let mut scan = source.backward(lo, hi)?;
     let mut out = store.writer(lo, hi)?;
-    let root = fold_up(&mut scan, qa, None, |_, s| out.write(s.0))?;
+    let root = fold_up(&mut scan, qa, None, |_, states| out.write_run(states))?;
     Ok((root, out.finish()?))
 }
 
@@ -462,10 +575,11 @@ fn fold_window_up<R: RecordSource + ?Sized, S: StateStore>(
 /// (window-relative) and feeding `hook`. `translate` maps a stored id to
 /// this automata's id space (`None`: no such state).
 ///
-/// Every id read back is validated before it indexes anything, and once
-/// a read or a validation fails the fold stops feeding the automaton,
-/// the demux and the hook entirely — a fabricated annotation must never
-/// reach a sink. Returns the state bytes consumed.
+/// States are read a run at a time, but every id is still validated on
+/// its own, in node order, before it indexes anything; once a read or a
+/// validation fails the fold stops feeding the automaton, the demux and
+/// the hook entirely — a fabricated annotation must never reach a sink.
+/// Returns the state bytes consumed.
 #[allow(clippy::too_many_arguments)]
 fn fold_window_down<R: RecordSource + ?Sized, S: StateStore>(
     source: &R,
@@ -479,41 +593,48 @@ fn fold_window_down<R: RecordSource + ?Sized, S: StateStore>(
 ) -> io::Result<u64> {
     let mut scan = source.forward(lo, hi)?;
     let mut states = store.reader(lo)?;
+    let mut run = [0u32; STATE_RUN];
+    // `run[at..len]` are the states of the nodes about to be visited.
+    let (mut at, mut len) = (0usize, 0usize);
     let mut latched: Option<io::Error> = None;
     top_down_scan(&mut scan, |ctx, rec, ix| -> PredSetId {
         if latched.is_some() {
             return PredSetId(0);
         }
-        let read = states.read().and_then(|raw| {
-            translate(ix, raw)
-                .filter(|a| (a.0 as usize) < qa.programs.len())
-                .ok_or_else(|| {
-                    invalid(format!(
-                        "corrupt state stream: node {ix} holds the unknown state id {raw}"
-                    ))
-                })
-        });
-        let rho_a = match read {
-            Ok(a) => a,
-            Err(e) => {
-                latched = Some(e);
+        if at == len {
+            // Never past the window: the next window's states may not
+            // exist yet, or belong to another worker's id space.
+            let want = STATE_RUN.min((hi - ix) as usize);
+            match states.read_run(&mut run[..want]) {
+                Ok(k) if k > 0 => (at, len) = (0, k),
+                Ok(_) => latched = Some(invalid(format!("no state for node {ix}"))),
+                Err(e) => latched = Some(e),
+            }
+            if latched.is_some() {
                 return PredSetId(0);
             }
+        }
+        let raw = run[at];
+        at += 1;
+        let Some(rho_a) = translate(ix, raw).filter(|a| (a.0 as usize) < qa.programs.len()) else {
+            latched = Some(invalid(format!(
+                "corrupt state stream: node {ix} holds the unknown state id {raw}"
+            )));
+            return PredSetId(0);
         };
         let rho_b = match ctx {
             DownContext::Root => start,
             DownContext::Child(parent, k) => qa.top_down(parent, rho_a, k),
         };
-        let preds = qa.predsets.get(rho_b);
-        demux.node(preds, ix - lo);
+        let selected_by = demux.node(rho_b, &qa.predsets, ix - lo);
         if let Some(h) = hook.as_mut() {
             h(&Visit {
                 ix,
                 info: rec.info(ix),
                 rho_a,
                 rho_b,
-                preds,
-                selected_by: &demux.flags,
+                preds: qa.predsets.get(rho_b),
+                selected_by,
             });
         }
         rho_b
@@ -534,15 +655,15 @@ struct Worker {
 }
 
 /// The spine of a sharded run, stepped on the master automata.
-struct Spine {
-    idx: SubtreeIndex<'static>,
+struct Spine<'s> {
+    idx: SubtreeIndex<'s>,
     /// Spine nodes in preorder.
     nodes: Vec<u32>,
     /// ρ_A of the spine nodes and of the window roots, as master ids.
     rho_a: HashMap<u32, ProgramId>,
 }
 
-impl Spine {
+impl Spine<'_> {
     fn children(&self, v: u32) -> impl Iterator<Item = (u8, u32)> {
         [(1, self.idx.first_child(v)), (2, self.idx.second_child(v))]
             .into_iter()
@@ -552,8 +673,8 @@ impl Spine {
 
 /// A multi-window plan: the frontier's window roots (sorted) and the
 /// subtree extents they were picked from.
-struct Frontier {
-    idx: SubtreeIndex<'static>,
+struct Frontier<'s> {
+    idx: SubtreeIndex<'s>,
     roots: Vec<u32>,
 }
 
@@ -563,7 +684,7 @@ struct Frontier {
 fn plan<R: RecordSource + ?Sized>(
     source: &R,
     threads: usize,
-) -> io::Result<(Option<Frontier>, u64)> {
+) -> io::Result<(Option<Frontier<'_>>, u64)> {
     if threads <= 1 {
         return Ok((None, 0));
     }
@@ -606,7 +727,7 @@ pub fn evaluate<R: RecordSource + ?Sized, S: StateStore>(
     let (frontier, mut backward_scans) = plan(source, threads)?;
     let mut workers: Vec<Worker> = Vec::new();
     let mut remaps: Vec<Vec<ProgramId>> = Vec::new();
-    let mut spine: Option<Spine> = None;
+    let mut spine: Option<Spine<'_>> = None;
     let (root_state, sta_encoded_bytes) = match frontier {
         None => {
             backward_scans += 1;
@@ -746,7 +867,7 @@ pub fn evaluate<R: RecordSource + ?Sized, S: StateStore>(
             let mut rho_b: HashMap<u32, PredSetId> = HashMap::from([(0, start)]);
             for &v in &sp.nodes {
                 let q = rho_b[&v];
-                total.node(qa.predsets.get(q), v);
+                total.node(q, &qa.predsets, v);
                 for (k, c) in sp.children(v) {
                     rho_b.insert(c, qa.top_down(q, sp.rho_a[&c], k));
                 }
@@ -804,6 +925,8 @@ pub fn evaluate<R: RecordSource + ?Sized, S: StateStore>(
         _ => {}
     }
     let phase2_time = t2.elapsed();
+
+    total.settle();
 
     // --- Statistics: assembled here and nowhere else ----------------------
     let selected = match total.sets.as_slice() {
@@ -879,13 +1002,20 @@ mod tests {
     }
 
     impl StateReader for FlakyReader<'_> {
-        fn read(&mut self) -> io::Result<u32> {
-            let state = self.inner.read()?;
-            self.ix += 1;
-            if self.ix - 1 == self.fail_at {
+        /// Delivers the intact prefix of a run first; the failing node
+        /// is consumed with the error, so the next read "recovers".
+        fn read_run(&mut self, out: &mut [u32]) -> io::Result<usize> {
+            if self.ix == self.fail_at {
+                self.ix += self.inner.read_run(&mut out[..1])? as u32;
                 return Err(io::Error::new(io::ErrorKind::UnexpectedEof, "injected"));
             }
-            Ok(state)
+            let intact = match self.fail_at.checked_sub(self.ix) {
+                Some(ahead) => out.len().min(ahead as usize),
+                None => out.len(),
+            };
+            let k = self.inner.read_run(&mut out[..intact])?;
+            self.ix += k as u32;
+            Ok(k)
         }
     }
 

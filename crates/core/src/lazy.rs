@@ -4,23 +4,51 @@
 //! States of the bottom-up automaton `A` are interned residual programs;
 //! states of the top-down automaton `B` are interned predicate sets.
 //! Transitions are computed on demand by `ComputeReachableStates` and
-//! `ComputeTruePreds` and memoized in hash tables — the paper's "in total,
-//! we use four hash tables to store and quickly access the states and
-//! transitions of the two automata", and its remedy for the potentially
-//! exponential automaton sizes ("they are best computed lazily").
+//! `ComputeTruePreds` and memoized — the paper's "in total, we use four
+//! hash tables to store and quickly access the states and transitions of
+//! the two automata", and its remedy for the potentially exponential
+//! automaton sizes ("they are best computed lazily").
 //!
-//! Because these tables are consulted once or twice per tree node, their
-//! layout bounds phase-1 throughput on every worker. The hot path is
-//! allocation-free end to end:
+//! # What is hashed, what is dense, who is authoritative
 //!
-//! * schema symbols are dense [`AlphabetId`]s behind a packed-`NodeInfo`
-//!   memo ([`AlphabetInterner`]), so the δ_A key is 12 bytes and programs
-//!   of any EDB width (merged batches included) evaluate correctly;
-//! * δ_A / δ_B are raw open-addressing [`FxCache`]s, the state interners
-//!   arena-backed open-addressing tables (see `arb_logic::intern`);
-//! * transition *misses* assemble their LTUR input in reusable scratch
-//!   buffers (`AutomataScratch`) instead of allocating fresh vectors
-//!   per miss.
+//! The two transition tables are consulted once or twice per tree node,
+//! so their layout bounds the throughput of both folds. Each exists
+//! twice:
+//!
+//! * **The hash memos** (`bu_cache`, `td_cache`) are the paper's tables
+//!   and the authority. They hold *every* transition ever computed, keyed
+//!   by `(child states, symbol)` and `(parent set, child state, k)`; a
+//!   miss in them — and nothing else — is a lazily computed transition,
+//!   so `bu_transitions` / `td_transitions` and
+//!   [`InternStats::bu_entries`] / [`InternStats::td_entries`] count
+//!   exactly those. A probe costs a hash and three dependent loads.
+//! * **The dense tables** (`DenseA`, `DenseB`) are direct-indexed fronts
+//!   of the hash memos, filled as transitions are computed or first
+//!   looked up. State and symbol ids are small and dense — five states
+//!   for a treebank path query, a few hundred for the widest query of
+//!   the benchmark pools — which is where an array beats a relation on
+//!   time and space alike (Szépkúti, "Multidimensional or Relational?").
+//!   δ_B is one load; δ_A is two, because a flat `(s1, s2, symbol)` cube
+//!   grows with `S²·|Σ|` and the rows actually seen do not (see
+//!   `DenseA`). A dense miss falls through to the hash memo, so nothing
+//!   about the answers, the state numbering or the counts depends on
+//!   what the dense tables happen to hold.
+//!
+//! The dense tables double as ids outgrow them and stop at a byte cap
+//! (`DENSE_CAP_BYTES`, 1 MiB each; its comment has the measurement that
+//! picked it): past the cap the first-interned states stay dense and
+//! the rest is answered by the hash memos, which is today's speed, not a
+//! cliff. They survive [`QueryAutomata::reset`] like the interners and
+//! the hash memos, count in [`QueryAutomata::memory_bytes`] and
+//! [`InternStats::table_bytes`], and are bypassed — never read, never
+//! filled — when memoization is switched off
+//! ([`QueryAutomata::set_cache_enabled`]).
+//!
+//! The symbol of a node is a third direct-indexed lookup, in
+//! [`AlphabetInterner`], and transition *misses* assemble their LTUR
+//! input in reusable scratch buffers (`AutomataScratch`), so the hit
+//! path is three array loads and the miss path allocates nothing but the
+//! new state.
 
 use crate::alphabet::{AlphabetId, AlphabetInterner};
 use arb_logic::{
@@ -34,17 +62,18 @@ use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 /// Interning pressure of one [`QueryAutomata`] — the footprint and probe
-/// behavior of the four hash tables plus the alphabet memo (surfaced
-/// through `EvalStats::interning`).
+/// behavior of the four hash tables, their dense fronts and the alphabet
+/// memo (surfaced through `EvalStats::interning`).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct InternStats {
     /// Payload bytes of the interned states (program rules + predicate
     /// set atoms — the arenas themselves).
     pub arena_bytes: usize,
     /// Index bytes: slot arrays, stored hashes, transition key/value
-    /// vectors, the alphabet memo.
+    /// vectors, the dense δ tables, the alphabet memo.
     pub table_bytes: usize,
-    /// Longest probe sequence any table walked (clustering indicator).
+    /// Longest probe sequence any hash table walked (clustering
+    /// indicator).
     pub max_probe: u32,
     /// Distinct schema symbols seen (`|Σ_A|` reached — paper §4 argues
     /// this stays tiny under the schema abstraction).
@@ -89,11 +118,201 @@ struct AutomataScratch {
     set: Vec<Atom>,
 }
 
+/// Byte cap of each of the two dense δ tables, so a `QueryAutomata` holds
+/// at most 2 MiB on top of its hash memos. The value is where the gain
+/// ends on the widest automata the benchmark has (`warm_acgt`'s pool,
+/// 115–396 bottom-up and 283–899 top-down states): a warm evaluation cost
+/// 70.7 ns/node with no dense tables, 51.3 at 64 KiB, 47.6 at 256 KiB,
+/// 46.1 at 1 MiB, and 46.3 / 45.3 / 45.9 at 2 / 4 / 16 MiB. Past the cap
+/// the states interned first — the frequent ones — stay dense and the
+/// tail is answered by the hash memos.
+const DENSE_CAP_BYTES: usize = 1 << 20;
+
+/// "No transition memoized in this cell."
+const VACANT: u32 = u32::MAX;
+
+/// Bytes per cell of a dense table.
+const CELL_BYTES: usize = std::mem::size_of::<u32>();
+
+/// Bits needed to index `0..=v`.
+fn bits_for(v: u32) -> u32 {
+    u32::BITS - v.leading_zeros()
+}
+
+/// The direct-indexed front of δ_A, in two levels: the child pair
+/// `(s1+1|0, s2+1|0)` indexes a square table of **rows**, and a row holds
+/// one cell per schema symbol. A flat `(s1, s2, symbol)` cube would be
+/// one load instead of two, but costs `4·(S+1)²·|Σ|` bytes — 5.7 MiB at
+/// `warm_acgt`'s 396 states × 9 symbols against 1 MiB + 64 KiB here —
+/// and only the few hundred pairs that occur get a row.
+///
+/// Both the pair square and the row width are powers of two that double
+/// when a state or symbol id outgrows them, so a table is re-laid out
+/// `O(log S + log |Σ|)` times; a doubling that would pass the cap is
+/// refused, and lookups outside the table simply miss.
+struct DenseA {
+    /// The pair table is `2^dim_log2` squared.
+    dim_log2: u32,
+    /// `c1 << dim_log2 | c2` → row number.
+    pair: Vec<u32>,
+    /// A row is `2^sym_log2` cells.
+    sym_log2: u32,
+    /// `row << sym_log2 | symbol` → state id.
+    rows: Vec<u32>,
+    cap_bytes: usize,
+}
+
+impl DenseA {
+    fn new(cap_bytes: usize) -> Self {
+        DenseA {
+            dim_log2: 0,
+            pair: vec![VACANT],
+            sym_log2: 0,
+            rows: Vec::new(),
+            cap_bytes,
+        }
+    }
+
+    #[inline]
+    fn get(&self, c1: u32, c2: u32, sym: u32) -> Option<u32> {
+        if (c1 | c2) >> self.dim_log2 != 0 || sym >> self.sym_log2 != 0 {
+            return None;
+        }
+        let row = self.pair[(c1 << self.dim_log2 | c2) as usize];
+        if row == VACANT {
+            return None;
+        }
+        let id = self.rows[(row << self.sym_log2 | sym) as usize];
+        (id != VACANT).then_some(id)
+    }
+
+    fn fits(&self, pair_len: usize, rows_len: usize) -> bool {
+        (pair_len + rows_len) * CELL_BYTES <= self.cap_bytes
+    }
+
+    /// Memoizes a transition if the table can be made to hold it.
+    fn insert(&mut self, c1: u32, c2: u32, sym: u32, id: u32) {
+        let dim = bits_for(c1 | c2);
+        if dim > self.dim_log2 {
+            let Some(len) = 1usize
+                .checked_shl(2 * dim)
+                .filter(|&len| self.fits(len, self.rows.len()))
+            else {
+                return;
+            };
+            let mut pair = vec![VACANT; len];
+            for (old, &row) in self.pair.iter().enumerate() {
+                let (o1, o2) = (old >> self.dim_log2, old & ((1 << self.dim_log2) - 1));
+                pair[o1 << dim | o2] = row;
+            }
+            (self.pair, self.dim_log2) = (pair, dim);
+        }
+        let width = bits_for(sym);
+        if width > self.sym_log2 {
+            let n_rows = self.rows.len() >> self.sym_log2;
+            if !self.fits(self.pair.len(), n_rows << width) {
+                return;
+            }
+            let mut rows = vec![VACANT; n_rows << width];
+            for (old, new) in self
+                .rows
+                .chunks_exact(1 << self.sym_log2)
+                .zip(rows.chunks_exact_mut(1 << width))
+            {
+                new[..old.len()].copy_from_slice(old);
+            }
+            (self.rows, self.sym_log2) = (rows, width);
+        }
+        let at = (c1 << self.dim_log2 | c2) as usize;
+        if self.pair[at] == VACANT {
+            let len = self.rows.len() + (1 << self.sym_log2);
+            if !self.fits(self.pair.len(), len) {
+                return;
+            }
+            if self.rows.capacity() < len {
+                // Doubling, but never past what the cap leaves the rows.
+                let room = self.cap_bytes / CELL_BYTES - self.pair.len();
+                self.rows
+                    .reserve_exact((2 * len).min(room) - self.rows.len());
+            }
+            self.pair[at] = (self.rows.len() >> self.sym_log2) as u32;
+            self.rows.resize(len, VACANT);
+        }
+        self.rows[(self.pair[at] << self.sym_log2 | sym) as usize] = id;
+    }
+
+    fn byte_size(&self) -> usize {
+        (self.pair.capacity() + self.rows.capacity()) * CELL_BYTES
+    }
+}
+
+/// The direct-indexed front of δ_B: one cell per `(parent predicate set,
+/// child state, k)`, the two state dimensions powers of two that double
+/// independently under the same cap rule as [`DenseA`].
+struct DenseB {
+    /// Parent ids below `2^parent_log2` are covered.
+    parent_log2: u32,
+    /// Child ids below `2^child_log2` are covered.
+    child_log2: u32,
+    /// `(parent << child_log2 | child) << 1 | (k − 1)` → predicate-set id.
+    cells: Vec<u32>,
+    cap_bytes: usize,
+}
+
+impl DenseB {
+    fn new(cap_bytes: usize) -> Self {
+        DenseB {
+            parent_log2: 0,
+            child_log2: 0,
+            cells: vec![VACANT; 2],
+            cap_bytes,
+        }
+    }
+
+    #[inline]
+    fn get(&self, parent: u32, child: u32, k: u8) -> Option<u32> {
+        if parent >> self.parent_log2 != 0 || child >> self.child_log2 != 0 {
+            return None;
+        }
+        let id = self.cells[((parent << self.child_log2 | child) << 1) as usize | (k - 1) as usize];
+        (id != VACANT).then_some(id)
+    }
+
+    /// Memoizes a transition if the table can be made to hold it.
+    fn insert(&mut self, parent: u32, child: u32, k: u8, id: u32) {
+        let parent_log2 = self.parent_log2.max(bits_for(parent));
+        let child_log2 = self.child_log2.max(bits_for(child));
+        if (parent_log2, child_log2) != (self.parent_log2, self.child_log2) {
+            let Some(len) = 1usize
+                .checked_shl(parent_log2 + child_log2 + 1)
+                .filter(|len| len * CELL_BYTES <= self.cap_bytes)
+            else {
+                return;
+            };
+            let mut cells = vec![VACANT; len];
+            let old_row = 2usize << self.child_log2;
+            for (old, new) in self
+                .cells
+                .chunks_exact(old_row)
+                .zip(cells.chunks_exact_mut(2 << child_log2))
+            {
+                new[..old_row].copy_from_slice(old);
+            }
+            (self.cells, self.parent_log2, self.child_log2) = (cells, parent_log2, child_log2);
+        }
+        self.cells[((parent << self.child_log2 | child) << 1) as usize | (k - 1) as usize] = id;
+    }
+
+    fn byte_size(&self) -> usize {
+        self.cells.capacity() * CELL_BYTES
+    }
+}
+
 /// The lazy automata pair for one TMNF program: everything that persists
 /// across the two phases of Algorithm 4.6. Holds the four hash tables
-/// (two state interners + two transition tables) plus the partitioned
-/// `PropLocal(P)` clause groups, the schema-symbol interner and the
-/// scratch space.
+/// (two state interners + two transition tables), the transition
+/// tables' dense fronts, the partitioned `PropLocal(P)` clause groups,
+/// the schema-symbol interner and the scratch space.
 pub struct QueryAutomata {
     /// The compiled propositional clause groups (Definition 4.2).
     pl: PropLocal,
@@ -106,17 +325,17 @@ pub struct QueryAutomata {
     /// Dense schema symbols (the input alphabet `Σ_A`).
     alphabet: AlphabetInterner,
     /// δ_A: `(s1+1|0 ‖ s2+1|0, symbol) → state id` (child states packed
-    /// into one word so a probe hashes two words, not three).
+    /// into one word so a probe hashes two words, not three). Holds
+    /// every transition ever computed: `bu_transitions` counts its
+    /// misses only.
     bu_cache: FxCache<(u64, u32)>,
-    /// Fused per-node front of δ_A: `(s1+1|0 ‖ s2+1|0, packed NodeInfo)
-    /// → state id`. The transition is a function of the node's *symbol*,
-    /// and the symbol a function of its packed `NodeInfo`, so this memo
-    /// answers the steady-state per-node lookup with a single probe
-    /// (symbol memo + δ_A probe otherwise). δ_A stays authoritative:
-    /// `bu_transitions` counts its misses only.
-    bu_fast: FxCache<(u64, u32)>,
+    /// Direct-indexed front of `bu_cache`.
+    dense_a: DenseA,
     /// δ_B: `(parent predset ‖ child program state, k) → predset id`.
+    /// Holds every transition ever computed.
     td_cache: FxCache<(u64, u8)>,
+    /// Direct-indexed front of `td_cache`.
+    dense_b: DenseB,
     /// `local_rules` specialized per schema symbol, dense by symbol id.
     local_by_sym: Vec<Option<Box<[Rule]>>>,
     scratch: LturScratch,
@@ -140,14 +359,26 @@ impl QueryAutomata {
             predsets: PredSetInterner::new(),
             alphabet: AlphabetInterner::new(prog.edbs().len()),
             bu_cache: FxCache::new(),
-            bu_fast: FxCache::new(),
+            dense_a: DenseA::new(DENSE_CAP_BYTES),
             td_cache: FxCache::new(),
+            dense_b: DenseB::new(DENSE_CAP_BYTES),
             local_by_sym: Vec::new(),
             scratch: LturScratch::new(),
             buf: AutomataScratch::default(),
             cache_enabled: true,
             bu_transitions: 0,
             td_transitions: 0,
+        }
+    }
+
+    /// [`new`](QueryAutomata::new) with another cap on each dense δ table,
+    /// for the tests that drive a run across the cap.
+    #[cfg(test)]
+    fn with_dense_cap(prog: &CoreProgram, cap_bytes: usize) -> Self {
+        QueryAutomata {
+            dense_a: DenseA::new(cap_bytes),
+            dense_b: DenseB::new(cap_bytes),
+            ..QueryAutomata::new(prog)
         }
     }
 
@@ -195,29 +426,57 @@ impl QueryAutomata {
     /// `ComputeReachableStates` (paper Figure 2), memoized: the transition
     /// function δ_A of the deterministic bottom-up automaton. `None`
     /// encodes the pseudo-state ⊥ for a missing child.
+    ///
+    /// The steady state is this function alone: the node's symbol and
+    /// the child pair's row are two independent array loads, the
+    /// transition a third.
+    #[inline]
     pub fn bottom_up(
         &mut self,
         s1: Option<ProgramId>,
         s2: Option<ProgramId>,
         info: NodeInfo,
     ) -> ProgramId {
-        let children = (s1.map_or(0, |s| s.0 as u64 + 1)) << 32 | s2.map_or(0, |s| s.0 as u64 + 1);
-        let fast_key = (children, crate::alphabet::pack(&info));
+        let (c1, c2) = (s1.map_or(0, |s| s.0 + 1), s2.map_or(0, |s| s.0 + 1));
         if self.cache_enabled {
-            if let Some(id) = self.bu_fast.get(&fast_key) {
-                return ProgramId(id);
+            if let Some(sym) = self.alphabet.known_symbol(&info) {
+                if let Some(id) = self.dense_a.get(c1, c2, sym.0) {
+                    return ProgramId(id);
+                }
             }
         }
+        self.bottom_up_memo(c1, c2, info)
+    }
+
+    /// δ_A past the dense table: the hash memo, which answers for
+    /// whatever the table's cap leaves out, and the computation behind
+    /// it. Either way the dense table learns the answer if it has room.
+    #[inline(never)]
+    fn bottom_up_memo(&mut self, c1: u32, c2: u32, info: NodeInfo) -> ProgramId {
         let sym = self.alphabet.symbol(&self.edbs, &info);
-        let key = (children, sym.0);
-        if self.cache_enabled {
-            if let Some(id) = self.bu_cache.get(&key) {
-                self.bu_fast.insert(fast_key, id);
-                return ProgramId(id);
-            }
+        if !self.cache_enabled {
+            return self.bottom_up_compute(c1, c2, sym);
         }
+        let key = ((c1 as u64) << 32 | c2 as u64, sym.0);
+        let id = match self.bu_cache.get(&key) {
+            Some(id) => id,
+            None => {
+                let id = self.bottom_up_compute(c1, c2, sym).0;
+                self.bu_cache.insert(key, id);
+                id
+            }
+        };
+        self.dense_a.insert(c1, c2, sym.0, id);
+        ProgramId(id)
+    }
+
+    /// A δ_A miss: `ComputeReachableStates` itself.
+    #[cold]
+    fn bottom_up_compute(&mut self, c1: u32, c2: u32, sym: AlphabetId) -> ProgramId {
         self.bu_transitions += 1;
         self.ensure_local_rules(sym);
+        let s1 = c1.checked_sub(1).map(ProgramId);
+        let s2 = c2.checked_sub(1).map(ProgramId);
 
         let Self {
             pl,
@@ -225,9 +484,6 @@ impl QueryAutomata {
             local_by_sym,
             scratch,
             buf,
-            bu_cache,
-            bu_fast,
-            cache_enabled,
             ..
         } = self;
         // P := local_rules ∪ PredsAsRules(labels)  [pre-specialized]
@@ -267,12 +523,7 @@ impl QueryAutomata {
         } else {
             ltur(&parts[..np], scratch)
         };
-        let id = programs.intern(res);
-        if *cache_enabled {
-            bu_cache.insert(key, id.0);
-            bu_fast.insert(fast_key, id.0);
-        }
-        id
+        programs.intern(res)
     }
 
     /// The start state `s_B = ⋂ ρ_A(Root)` of the top-down automaton: the
@@ -295,15 +546,41 @@ impl QueryAutomata {
     /// `ComputeTruePreds` (paper Figure 3), memoized: the transition
     /// functions δ_B^k of the top-down automaton. Given the parent's true
     /// predicates and the child's phase-1 residual program, returns the
-    /// child's true predicates.
+    /// child's true predicates. The steady state is one array load.
+    #[inline]
     pub fn top_down(&mut self, parent: PredSetId, child: ProgramId, k: u8) -> PredSetId {
         debug_assert!(k == 1 || k == 2);
-        let key = ((parent.0 as u64) << 32 | child.0 as u64, k);
         if self.cache_enabled {
-            if let Some(id) = self.td_cache.get(&key) {
+            if let Some(id) = self.dense_b.get(parent.0, child.0, k) {
                 return PredSetId(id);
             }
         }
+        self.top_down_memo(parent, child, k)
+    }
+
+    /// δ_B past the dense table (see
+    /// [`bottom_up_memo`](QueryAutomata::bottom_up_memo)).
+    #[inline(never)]
+    fn top_down_memo(&mut self, parent: PredSetId, child: ProgramId, k: u8) -> PredSetId {
+        if !self.cache_enabled {
+            return self.top_down_compute(parent, child, k);
+        }
+        let key = ((parent.0 as u64) << 32 | child.0 as u64, k);
+        let id = match self.td_cache.get(&key) {
+            Some(id) => id,
+            None => {
+                let id = self.top_down_compute(parent, child, k).0;
+                self.td_cache.insert(key, id);
+                id
+            }
+        };
+        self.dense_b.insert(parent.0, child.0, k, id);
+        PredSetId(id)
+    }
+
+    /// A δ_B miss: `ComputeTruePreds` itself.
+    #[cold]
+    fn top_down_compute(&mut self, parent: PredSetId, child: ProgramId, k: u8) -> PredSetId {
         self.td_transitions += 1;
 
         let Self {
@@ -312,8 +589,6 @@ impl QueryAutomata {
             predsets,
             scratch,
             buf,
-            td_cache,
-            cache_enabled,
             ..
         } = self;
         // P := downward_rules_k ∪ PredsAsRules(parent_preds) ∪ PushDown_k(P_res)
@@ -341,11 +616,7 @@ impl QueryAutomata {
         );
         buf.set.sort_unstable();
         buf.set.dedup();
-        let id = predsets.intern_sorted(&buf.set);
-        if *cache_enabled {
-            td_cache.insert(key, id.0);
-        }
-        id
+        predsets.intern_sorted(&buf.set)
     }
 
     /// True-predicate set membership helper.
@@ -354,7 +625,8 @@ impl QueryAutomata {
     }
 
     /// Approximate main-memory footprint of the automata (interned states
-    /// plus transition tables), in bytes — the paper's `mem` column.
+    /// plus transition tables, hashed and dense), in bytes — the paper's
+    /// `mem` column.
     pub fn memory_bytes(&self) -> usize {
         let s = self.intern_stats();
         s.arena_bytes
@@ -367,22 +639,23 @@ impl QueryAutomata {
                 .sum::<usize>()
     }
 
-    /// Interning pressure of the four hash tables + alphabet memo.
+    /// Interning pressure of the four hash tables, the dense δ tables and
+    /// the alphabet memo.
     pub fn intern_stats(&self) -> InternStats {
         InternStats {
             arena_bytes: self.programs.byte_size() + self.predsets.byte_size(),
             table_bytes: self.programs.table_bytes()
                 + self.predsets.table_bytes()
                 + self.bu_cache.byte_size()
-                + self.bu_fast.byte_size()
+                + self.dense_a.byte_size()
                 + self.td_cache.byte_size()
+                + self.dense_b.byte_size()
                 + self.alphabet.byte_size(),
             max_probe: self
                 .programs
                 .max_probe()
                 .max(self.predsets.max_probe())
                 .max(self.bu_cache.max_probe())
-                .max(self.bu_fast.max_probe())
                 .max(self.td_cache.max_probe())
                 .max(self.alphabet.max_probe()),
             alphabet_symbols: self.alphabet.len(),
@@ -393,10 +666,11 @@ impl QueryAutomata {
 
     /// Disables (or re-enables) transition memoization. With memoization
     /// off, every node recomputes its transition from scratch **and the
-    /// δ tables stay empty** — the configuration the paper's lazy hash
-    /// tables avoid, measured by the `ablation` benchmark. (State
-    /// interning and the schema-symbol memo stay on: dense ids are what
-    /// give states and symbols their identity.)
+    /// δ tables, hashed and dense, are neither read nor filled** — the
+    /// configuration the paper's lazy hash tables avoid, measured by the
+    /// `ablation` benchmark. (State interning and the schema-symbol memo
+    /// stay on: dense ids are what give states and symbols their
+    /// identity.)
     pub fn set_cache_enabled(&mut self, enabled: bool) {
         self.cache_enabled = enabled;
     }
@@ -413,9 +687,9 @@ impl QueryAutomata {
 
     /// Clears **per-run** state while keeping everything that is a pure
     /// function of the program warm: the state interners, the memoized
-    /// δ_A/δ_B tables, the specialized local-rule groups and the alphabet
-    /// memo all survive, so a reset automata steps the next evaluation at
-    /// full memoization from its first node. Only the two per-run
+    /// δ_A/δ_B tables (hashed and dense), the specialized local-rule
+    /// groups and the alphabet memo all survive, so a reset automata
+    /// steps the next evaluation at full memoization from its first node. Only the two per-run
     /// transition counters (paper Fig. 6 columns 5 and 7) are zeroed —
     /// a warm rerun over the same tree legitimately reports ~0 lazily
     /// computed transitions.
@@ -514,7 +788,7 @@ mod tests {
     use super::*;
     use arb_logic::Program;
     use arb_tmnf::{normalize, parse_program};
-    use arb_tree::LabelTable;
+    use arb_tree::{BinaryTree, LabelTable};
 
     /// Paper Examples 4.5 and 4.7: the three-node chain <a><a><a/></a></a>
     /// with the program of Example 4.3.
@@ -641,6 +915,13 @@ mod tests {
         let st = qa.intern_stats();
         assert_eq!(st.bu_entries, 0, "δ_A table stays empty when disabled");
         assert_eq!(st.td_entries, 0, "δ_B table stays empty when disabled");
+        let sym = qa.schema_symbol(&leaf);
+        assert!(
+            qa.dense_a.rows.is_empty(),
+            "dense δ_A learns nothing either"
+        );
+        assert_eq!(qa.dense_a.get(0, 0, sym.0), None);
+        assert!(qa.dense_b.cells.iter().all(|&c| c == VACANT));
 
         // Re-enabling resumes memoization.
         qa.set_cache_enabled(true);
@@ -648,6 +929,15 @@ mod tests {
         qa.bottom_up(None, None, leaf);
         assert_eq!(qa.bu_transitions, 3, "one miss after re-enable");
         assert_eq!(qa.intern_stats().bu_entries, 1);
+        assert_eq!(qa.dense_a.get(0, 0, sym.0), Some(s.0));
+
+        // Disabling again bypasses what the tables hold by now.
+        qa.set_cache_enabled(false);
+        qa.bottom_up(None, None, leaf);
+        assert_eq!(
+            qa.bu_transitions, 4,
+            "a filled dense table is not consulted"
+        );
     }
 
     /// `reset` zeroes the per-run counters but keeps every memo warm: a
@@ -681,10 +971,183 @@ mod tests {
         assert_eq!(qa.bu_transitions, 0, "per-run counter cleared");
         assert_eq!(qa.td_transitions, 0);
         assert_eq!(qa.intern_stats(), entries, "memos survive the reset");
+        // The second run is answered by the dense tables alone: they
+        // came back from the pool holding both transitions.
+        let sym = qa.schema_symbol(&leaf);
+        assert_eq!(qa.dense_a.get(0, 0, sym.0), Some(s.0));
+        assert_eq!(qa.dense_b.get(b.0, s.0, 1), Some(qa.top_down(b, s, 1).0));
         let s2 = qa.bottom_up(None, None, leaf);
         assert_eq!(s2, s, "warm table answers without recomputing");
         assert_eq!(qa.bu_transitions, 0, "pure cache hit on the warm run");
+        assert_eq!(qa.td_transitions, 0);
         pool.put(qa);
         assert_eq!(pool.idle_len(), 1);
+    }
+
+    /// Growth keeps what a dense table holds, a refused doubling leaves
+    /// it usable, and keys outside it miss.
+    #[test]
+    fn dense_tables_grow_and_stop_at_the_cap() {
+        let mut a = DenseA::new(1 << 12);
+        assert_eq!(a.get(0, 0, 0), None);
+        a.insert(0, 0, 0, 7);
+        a.insert(3, 1, 5, 8); // grows both the pair square and the rows
+        a.insert(9, 2, 1, 9);
+        assert_eq!(
+            (a.get(0, 0, 0), a.get(3, 1, 5), a.get(9, 2, 1)),
+            (Some(7), Some(8), Some(9))
+        );
+        assert_eq!(a.get(3, 1, 4), None, "same row, another symbol");
+        assert_eq!(a.get(1, 3, 5), None, "the pair is ordered");
+        // A 64 × 64 pair square alone is 16 KiB: past the 4 KiB cap.
+        a.insert(40, 0, 0, 10);
+        assert_eq!(a.get(40, 0, 0), None);
+        assert_eq!(a.get(9, 2, 1), Some(9), "a refused doubling loses nothing");
+        assert!(a.byte_size() <= 1 << 12);
+        // Rows stop being handed out at the cap too.
+        for c in 0..16 {
+            for d in 0..16 {
+                a.insert(c, d, 7, c * 16 + d);
+            }
+        }
+        assert!(a.byte_size() <= 1 << 12);
+        assert_eq!(a.get(3, 1, 5), Some(8));
+
+        let mut b = DenseB::new(1 << 12);
+        b.insert(0, 0, 1, 1);
+        b.insert(5, 0, 2, 2); // grows the parent dimension
+        b.insert(1, 9, 1, 3); // then the child dimension
+        assert_eq!(
+            (b.get(0, 0, 1), b.get(5, 0, 2), b.get(1, 9, 1)),
+            (Some(1), Some(2), Some(3))
+        );
+        assert_eq!(b.get(5, 0, 1), None, "k is part of the key");
+        b.insert(100, 100, 1, 4); // 128 × 128 × 2 cells: past the cap
+        assert_eq!(b.get(100, 100, 1), None);
+        assert_eq!(b.get(1, 9, 1), Some(3));
+        assert!(b.byte_size() <= 1 << 12);
+        // Ids that no table could index miss instead of overflowing.
+        a.insert(u32::MAX, u32::MAX, u32::MAX, 1);
+        b.insert(u32::MAX, u32::MAX, 2, 1);
+        assert_eq!(a.get(u32::MAX, u32::MAX, u32::MAX), None);
+        assert_eq!(b.get(u32::MAX, u32::MAX, 2), None);
+    }
+
+    /// Both automata over `tree`, as the two folds step them; returns
+    /// the ρ_A and ρ_B id streams.
+    fn run(qa: &mut QueryAutomata, tree: &BinaryTree) -> (Vec<ProgramId>, Vec<PredSetId>) {
+        let n = tree.len();
+        let mut rho_a = vec![ProgramId(0); n];
+        for v in (0..n as u32).rev().map(arb_tree::NodeId) {
+            let s1 = tree.first_child(v).map(|c| rho_a[c.ix()]);
+            let s2 = tree.second_child(v).map(|c| rho_a[c.ix()]);
+            rho_a[v.ix()] = qa.bottom_up(s1, s2, tree.info(v));
+        }
+        let mut rho_b = vec![PredSetId(0); n];
+        rho_b[0] = qa.start_state(rho_a[0]);
+        for v in tree.nodes() {
+            for (k, c) in [(1, tree.first_child(v)), (2, tree.second_child(v))] {
+                if let Some(c) = c {
+                    rho_b[c.ix()] = qa.top_down(rho_b[v.ix()], rho_a[c.ix()], k);
+                }
+            }
+        }
+        (rho_a, rho_b)
+    }
+
+    /// The ACGT pool's `(7, 5)` path query `G.(C.C)*.T.T.A.C`, walked
+    /// with the infix caterpillar: hundreds of states on a random
+    /// sequence.
+    fn acgt_query() -> String {
+        let step = arb_tmnf::programs::INFIX_PREVIOUS;
+        format!(
+            "QUERY :- V.Label[G].({step}.Label[C].{step}.Label[C])*\
+             .{step}.Label[T].{step}.Label[T].{step}.Label[A].{step}.Label[C];"
+        )
+    }
+
+    /// Dense ≡ hash: one program over one tree yields the same ρ_A and
+    /// ρ_B id streams, the same δ entries and the same transition counts
+    /// whether the dense tables run at their default cap, at a cap so
+    /// small that they stop growing mid-run, or not at all — across
+    /// several doublings (the ACGT query) and across an alphabet wider
+    /// than one truth-vector word (a merged batch of 150 label tests).
+    #[test]
+    fn dense_tables_change_no_id_and_no_count() {
+        use arb_tree::infix::infix_tree;
+        use arb_tree::TreeBuilder;
+
+        let mut cases: Vec<(&str, CoreProgram, BinaryTree)> = Vec::new();
+
+        let mut lt = LabelTable::new();
+        let prog = normalize(&parse_program(&acgt_query(), &mut lt).unwrap());
+        let tags = ["A", "C", "G", "T"].map(|t| lt.intern(t).unwrap());
+        let mut x = 0x2545_F491_4F6C_DD1Du64;
+        let seq: Vec<_> = (0..(1 << 12) - 1)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                tags[(x >> 33) as usize % 4]
+            })
+            .collect();
+        cases.push(("acgt", prog, infix_tree(lt.intern("dna").unwrap(), &seq)));
+
+        let mut lt = LabelTable::new();
+        let root = lt.intern("r").unwrap();
+        let wide: Vec<_> = (0..150)
+            .map(|i| lt.intern(&format!("t{i}")).unwrap())
+            .collect();
+        let progs: Vec<CoreProgram> = (0..wide.len())
+            .map(|i| {
+                let src = format!("QUERY :- V.Label[t{i}].invNextSibling*.invFirstChild;");
+                normalize(&parse_program(&src, &mut lt).unwrap())
+            })
+            .collect();
+        let merged = arb_tmnf::merge_programs(&progs.iter().collect::<Vec<_>>()).program;
+        assert!(merged.edbs().len() > 128, "wider than two u64 words");
+        let mut tb = TreeBuilder::new();
+        tb.open(root);
+        for (i, &t) in wide.iter().enumerate() {
+            tb.open(t);
+            tb.leaf(wide[(i * 7) % wide.len()]);
+            tb.close();
+        }
+        tb.close();
+        cases.push(("wide", merged, tb.finish().unwrap()));
+
+        for (name, prog, tree) in &cases {
+            let mut full = QueryAutomata::new(prog);
+            let want = run(&mut full, tree);
+            let counts = |qa: &QueryAutomata| {
+                let s = qa.intern_stats();
+                (
+                    (s.bu_entries, s.td_entries),
+                    (qa.bu_transitions, qa.td_transitions),
+                    (qa.bu_state_count(), qa.td_state_count()),
+                )
+            };
+            // Warm, the full-cap tables answer everything themselves.
+            let cold = counts(&full);
+            assert_eq!(run(&mut full, tree), want, "{name}: warm rerun");
+            assert_eq!(counts(&full), cold, "{name}: the rerun computed nothing");
+
+            // A 2 KiB cap seats a 16 × 16 pair square: the tables fill,
+            // refuse to double, and the hash memos carry the rest.
+            let mut tiny = QueryAutomata::with_dense_cap(prog, 2 << 10);
+            assert_eq!(run(&mut tiny, tree), want, "{name}: tiny cap");
+            assert_eq!(counts(&tiny), cold, "{name}: tiny cap");
+            assert!(tiny.dense_a.byte_size() + tiny.dense_b.byte_size() <= 4 << 10);
+            if *name == "acgt" {
+                assert!(full.bu_state_count() > 64, "several doublings of δ_A");
+                assert!(full.dense_a.dim_log2 > tiny.dense_a.dim_log2);
+                assert!(!tiny.dense_a.rows.is_empty(), "the tiny table is in use");
+            }
+
+            let mut off = QueryAutomata::new(prog);
+            off.set_cache_enabled(false);
+            assert_eq!(run(&mut off, tree), want, "{name}: memoization off");
+            assert_eq!(counts(&off).0, (0, 0));
+        }
     }
 }

@@ -8,13 +8,14 @@ use crate::query::{choose_query_pred, Query, QueryLanguage};
 use crate::session::Session;
 use crate::update::{parse_fragment, tree_records, AppliedUpdate, DocUpdate};
 use arb_storage::{ArbDatabase, CreationStats, FormatVersion, UpdateOp};
+use arb_tree::traverse::{subtree_extents, ReversePreorder};
 use arb_tree::{BinaryTree, LabelTable};
 use arb_xml::XmlConfig;
 use std::fmt;
 use std::io;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, RwLock};
+use std::sync::{Arc, OnceLock, RwLock};
 
 /// Engine errors.
 #[derive(Debug)]
@@ -45,12 +46,40 @@ impl From<io::Error> for EngineError {
     }
 }
 
+/// One epoch of a memory backing: the tree and, beside it, the subtree
+/// extents sharded runs plan on — folded by the first run that asks for
+/// them and shared by every later run of the epoch.
+pub(crate) struct MemoryDoc {
+    pub(crate) tree: BinaryTree,
+    extents: OnceLock<(Vec<u32>, Vec<u8>)>,
+}
+
+impl MemoryDoc {
+    fn new(tree: BinaryTree) -> Arc<Self> {
+        Arc::new(MemoryDoc {
+            tree,
+            extents: OnceLock::new(),
+        })
+    }
+
+    /// `(ends, kinds)` of every node (see
+    /// [`arb_tree::traverse::subtree_extents`]).
+    pub(crate) fn extents(&self) -> io::Result<&(Vec<u32>, Vec<u8>)> {
+        if let Some(x) = self.extents.get() {
+            return Ok(x);
+        }
+        let n = self.tree.len() as u32;
+        let x = subtree_extents(&mut ReversePreorder::new(&self.tree, 0, n), n)?;
+        Ok(self.extents.get_or_init(|| x))
+    }
+}
+
 enum Backing {
     Disk(Box<ArbDatabase>),
     /// In-memory trees sit behind a lock so [`Database::apply_update`]
     /// can swap epochs under live sessions; readers snapshot the `Arc`
     /// and never block an update for longer than the pointer clone.
-    Memory(RwLock<Arc<BinaryTree>>),
+    Memory(RwLock<Arc<MemoryDoc>>),
 }
 
 /// A queryable tree database.
@@ -119,7 +148,7 @@ impl Database {
         let tree = arb_xml::str_to_tree(xml, &mut labels)
             .map_err(|e| EngineError::Create(e.to_string()))?;
         Ok(Database {
-            backing: Backing::Memory(RwLock::new(Arc::new(tree))),
+            backing: Backing::Memory(RwLock::new(MemoryDoc::new(tree))),
             labels,
             mem_updates: AtomicU64::new(0),
         })
@@ -128,7 +157,7 @@ impl Database {
     /// An in-memory database from an existing tree and label table.
     pub fn from_tree(tree: BinaryTree, labels: LabelTable) -> Self {
         Database {
-            backing: Backing::Memory(RwLock::new(Arc::new(tree))),
+            backing: Backing::Memory(RwLock::new(MemoryDoc::new(tree))),
             labels,
             mem_updates: AtomicU64::new(0),
         }
@@ -138,7 +167,7 @@ impl Database {
     pub fn node_count(&self) -> u64 {
         match &self.backing {
             Backing::Disk(db) => db.node_count() as u64,
-            Backing::Memory(t) => t.read().expect("tree lock poisoned").len() as u64,
+            Backing::Memory(t) => t.read().expect("tree lock poisoned").tree.len() as u64,
         }
     }
 
@@ -155,13 +184,12 @@ impl Database {
         }
     }
 
-    /// A shared snapshot of the current tree: the live `Arc` for memory
-    /// backings (cheap, stable across later updates), a materialization
-    /// for disk backings.
-    pub(crate) fn snapshot_tree(&self) -> Result<Arc<BinaryTree>, EngineError> {
+    /// A memory backing's current epoch, shared: cheap, and stable
+    /// across later updates.
+    pub(crate) fn as_memory(&self) -> Option<Arc<MemoryDoc>> {
         match &self.backing {
-            Backing::Disk(db) => Ok(Arc::new(db.to_tree()?)),
-            Backing::Memory(t) => Ok(t.read().expect("tree lock poisoned").clone()),
+            Backing::Disk(_) => None,
+            Backing::Memory(t) => Some(t.read().expect("tree lock poisoned").clone()),
         }
     }
 
@@ -170,7 +198,7 @@ impl Database {
     pub fn to_tree(&self) -> Result<BinaryTree, EngineError> {
         match &self.backing {
             Backing::Disk(db) => Ok(db.to_tree()?),
-            Backing::Memory(t) => Ok((**t.read().expect("tree lock poisoned")).clone()),
+            Backing::Memory(t) => Ok(t.read().expect("tree lock poisoned").tree.clone()),
         }
     }
 
@@ -234,7 +262,7 @@ impl Database {
             }
             Backing::Memory(lock) => {
                 let mut guard = lock.write().expect("tree lock poisoned");
-                let mut records = tree_records(&guard);
+                let mut records = tree_records(&guard.tree);
                 let (ends, kinds) = arb_storage::record_extents(&records)?;
                 let plan = match update {
                     DocUpdate::AppendChild { under, .. } => arb_storage::plan_append(
@@ -253,7 +281,7 @@ impl Database {
                 };
                 arb_storage::apply_edit(&mut records, &plan, &frag);
                 let tree = arb_storage::records_to_tree(&records)?;
-                *guard = Arc::new(tree);
+                *guard = MemoryDoc::new(tree);
                 let epoch = self.mem_updates.fetch_add(1, Ordering::SeqCst) + 1;
                 Ok(AppliedUpdate {
                     plan,

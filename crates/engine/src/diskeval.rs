@@ -6,10 +6,11 @@
 //! module only says where its records and states live on disk:
 //!
 //! * [`DiskSource`] opens backward and forward (range) scans of an
-//!   [`ArbDatabase`] — raw v1 records or decoded v2 blocks — and plans
-//!   frontiers from the database's cached subtree extents. Main memory
-//!   holds only the automata and a stack bounded by the XML depth, the
-//!   paper's three desiderata of Section 1.1.
+//!   [`ArbDatabase`] — slabs of raw v1 records or decoded v2 blocks, a
+//!   run at a time — and plans frontiers from the database's cached
+//!   subtree extents, borrowed. Main memory holds only the automata, one
+//!   run and a stack bounded by the XML depth, the paper's three
+//!   desiderata of Section 1.1.
 //! * [`StaStore`] streams ρ_A through a uniquely named scratch file
 //!   (paper footnote 12), deleted when the run ends: by default the
 //!   block-compressed layout ([`StaFormat::Blocked`]), or the paper's
@@ -22,7 +23,7 @@
 //! [`VecStore`]); the two raw-program fronts [`evaluate_disk`] and
 //! [`evaluate_disk_parallel`] serve harnesses and reference suites.
 
-use crate::database::{Database, EngineError};
+use crate::database::{Database, EngineError, MemoryDoc};
 use crate::QueryOutcome;
 use arb_core::kernel::{
     self, Demand, Evaluation, NoStore, RecordSource, StateReader, StateStore, StateWriter, VecStore,
@@ -30,15 +31,33 @@ use arb_core::kernel::{
 use arb_core::{AutomataPool, SubtreeIndex};
 use arb_logic::{Atom, ProgramId};
 use arb_storage::stafile::{self, StateFilePatcher, StateFileReader, StateFileWriter};
-use arb_storage::{ArbDatabase, BackwardScan, ForwardScan, ScratchPath, StaFormat};
+use arb_storage::{ArbDatabase, BackwardScan, ExtentVecs, ForwardScan, ScratchPath, StaFormat};
 use arb_tmnf::CoreProgram;
-use arb_tree::NodeInfo;
+use arb_tree::traverse::{Preorder, ReversePreorder};
+use arb_tree::{BinaryTree, NodeInfo};
 use std::fs::File;
 use std::io;
 use std::path::Path;
+use std::sync::{Arc, OnceLock};
 
 /// An `.arb` database as the kernel's record source.
-pub struct DiskSource<'d>(pub &'d ArbDatabase);
+pub struct DiskSource<'d> {
+    db: &'d ArbDatabase,
+    /// The extents this source planned on: a snapshot of the handle's
+    /// cache, pinned so that an update installing fresh extents never
+    /// pulls the rug from a plan in flight.
+    extents: OnceLock<Arc<ExtentVecs>>,
+}
+
+impl<'d> DiskSource<'d> {
+    /// The record source over `db`.
+    pub fn new(db: &'d ArbDatabase) -> Self {
+        DiskSource {
+            db,
+            extents: OnceLock::new(),
+        }
+    }
+}
 
 impl RecordSource for DiskSource<'_> {
     type Backward<'a>
@@ -51,38 +70,70 @@ impl RecordSource for DiskSource<'_> {
         Self: 'a;
 
     fn node_count(&self) -> u32 {
-        self.0.node_count()
+        self.db.node_count()
     }
 
     fn backward(&self, lo: u32, hi: u32) -> io::Result<BackwardScan<File>> {
-        self.0.backward_scan_range(lo, hi)
+        self.db.backward_scan_range(lo, hi)
     }
 
     fn forward(&self, lo: u32, hi: u32) -> io::Result<ForwardScan<File>> {
-        self.0.forward_scan_range(lo, hi)
+        self.db.forward_scan_range(lo, hi)
     }
 
     fn record_at(&self, ix: u32) -> io::Result<NodeInfo> {
-        Ok(self.0.record_at(ix)?.info(ix))
+        Ok(self.db.record_at(ix)?.info(ix))
     }
 
-    /// From the database's cached extents: one metadata pass — no
-    /// automata work — on the handle's first sharded run, free afterwards.
-    fn subtree_index(&self) -> io::Result<(SubtreeIndex<'static>, u64)> {
-        let scans = u64::from(!self.0.extents_cached());
-        let x = self.0.subtree_extents()?;
-        Ok((
-            SubtreeIndex::from_parts(x.ends.clone(), x.kinds.clone()),
-            scans,
-        ))
+    /// Borrowed from the database's cached extents: one metadata pass —
+    /// no automata work — on the handle's first sharded run, free
+    /// afterwards.
+    fn subtree_index(&self) -> io::Result<(SubtreeIndex<'_>, u64)> {
+        let scans = u64::from(!self.db.extents_cached());
+        let x = match self.extents.get() {
+            Some(x) => x,
+            None => {
+                let x = self.db.subtree_extents()?;
+                self.extents.get_or_init(|| x)
+            }
+        };
+        Ok((SubtreeIndex::from_parts(&x.ends[..], &x.kinds[..]), scans))
     }
 
     fn format_version(&self) -> u8 {
-        self.0.format_version()
+        self.db.format_version()
     }
 
     fn blocks_decoded(&self) -> u64 {
-        self.0.blocks_decoded()
+        self.db.blocks_decoded()
+    }
+}
+
+/// A memory backing's document as the kernel's record source: the tree's
+/// own streams, and the extents cached beside it.
+impl RecordSource for MemoryDoc {
+    type Backward<'a> = ReversePreorder<'a, BinaryTree>;
+    type Forward<'a> = Preorder<'a, BinaryTree>;
+
+    fn node_count(&self) -> u32 {
+        self.tree.node_count()
+    }
+
+    fn backward(&self, lo: u32, hi: u32) -> io::Result<Self::Backward<'_>> {
+        self.tree.backward(lo, hi)
+    }
+
+    fn forward(&self, lo: u32, hi: u32) -> io::Result<Self::Forward<'_>> {
+        self.tree.forward(lo, hi)
+    }
+
+    fn record_at(&self, ix: u32) -> io::Result<NodeInfo> {
+        self.tree.record_at(ix)
+    }
+
+    fn subtree_index(&self) -> io::Result<(SubtreeIndex<'_>, u64)> {
+        let (ends, kinds) = self.extents()?;
+        Ok((SubtreeIndex::from_parts(&ends[..], &kinds[..]), 0))
     }
 }
 
@@ -104,9 +155,8 @@ impl<'p> StaStore<'p> {
 pub struct StaWriter(StateFileWriter);
 
 impl StateWriter for StaWriter {
-    #[inline]
-    fn write(&mut self, state: u32) -> io::Result<()> {
-        self.0.write_state(state)
+    fn write_run(&mut self, states: &[u32]) -> io::Result<()> {
+        self.0.write_states(states)
     }
 
     fn finish(self) -> io::Result<u64> {
@@ -118,9 +168,8 @@ impl StateWriter for StaWriter {
 pub struct StaReader(StateFileReader);
 
 impl StateReader for StaReader {
-    #[inline]
-    fn read(&mut self) -> io::Result<u32> {
-        self.0.read_state()
+    fn read_run(&mut self, out: &mut [u32]) -> io::Result<usize> {
+        self.0.read_states(out)
     }
 
     fn decoded_bytes(&self) -> u64 {
@@ -182,37 +231,25 @@ pub(crate) fn run(
     pool: &AutomataPool,
 ) -> Result<(Evaluation, Option<ScratchPath>), EngineError> {
     let verdicts_only = matches!(demand, Demand::Verdicts);
-    Ok(match db.as_disk() {
-        Some(d) if verdicts_only => (
-            kernel::evaluate(
-                prog,
-                &DiskSource(d),
-                &NoStore,
-                groups,
-                demand,
-                threads,
-                pool,
-            )?,
-            None,
-        ),
-        Some(d) => {
-            let sta = d.scratch_sta();
-            let store = StaStore::new(sta.path(), format, d.node_count());
-            let run =
-                kernel::evaluate(prog, &DiskSource(d), &store, groups, demand, threads, pool)?;
-            (run, Some(sta))
-        }
-        None => {
-            let tree = db.snapshot_tree()?;
-            let run = if verdicts_only {
-                kernel::evaluate(prog, &*tree, &NoStore, groups, demand, threads, pool)?
-            } else {
-                let store = VecStore::new(tree.len() as u32);
-                kernel::evaluate(prog, &*tree, &store, groups, demand, threads, pool)?
-            };
-            (run, None)
-        }
-    })
+    if let Some(doc) = db.as_memory() {
+        let run = if verdicts_only {
+            kernel::evaluate(prog, &*doc, &NoStore, groups, demand, threads, pool)?
+        } else {
+            let store = VecStore::new(doc.node_count());
+            kernel::evaluate(prog, &*doc, &store, groups, demand, threads, pool)?
+        };
+        return Ok((run, None));
+    }
+    let d = db.as_disk().expect("a database is on disk or in memory");
+    let source = DiskSource::new(d);
+    if verdicts_only {
+        let run = kernel::evaluate(prog, &source, &NoStore, groups, demand, threads, pool)?;
+        return Ok((run, None));
+    }
+    let sta = d.scratch_sta();
+    let store = StaStore::new(sta.path(), format, d.node_count());
+    let run = kernel::evaluate(prog, &source, &store, groups, demand, threads, pool)?;
+    Ok((run, Some(sta)))
 }
 
 /// Evaluates a raw TMNF program over a disk database by the two-phase
@@ -237,7 +274,7 @@ pub fn evaluate_disk_parallel(
     let store = StaStore::new(sta.path(), StaFormat::from_env(), db.node_count());
     let mut run = kernel::evaluate(
         prog,
-        &DiskSource(db),
+        &DiskSource::new(db),
         &store,
         &[query],
         Demand::Sets,
@@ -332,7 +369,7 @@ mod tests {
         let store = StaStore::new(sta.path(), StaFormat::from_env(), db.node_count());
         let run = kernel::evaluate(
             prog,
-            &DiskSource(db),
+            &DiskSource::new(db),
             &store,
             groups,
             Demand::Stream(&mut hook),
@@ -450,7 +487,7 @@ mod tests {
             let verdict = |threads| {
                 let run = kernel::evaluate(
                     &prog,
-                    &DiskSource(&db),
+                    &DiskSource::new(&db),
                     &NoStore,
                     &groups,
                     Demand::Verdicts,
@@ -521,7 +558,7 @@ mod tests {
         let clean = StaStore::new(sta.path(), StaFormat::Flat, n);
         kernel::evaluate(
             &prog,
-            &DiskSource(&db),
+            &DiskSource::new(&db),
             &clean,
             &groups,
             Demand::Stream(&mut hook),
@@ -571,7 +608,7 @@ mod tests {
                 let mut hook = |v: &Visit<'_>| calls.push(v.ix);
                 let err = kernel::evaluate(
                     &prog,
-                    &DiskSource(&db),
+                    &DiskSource::new(&db),
                     &store,
                     &groups,
                     Demand::Stream(&mut hook),

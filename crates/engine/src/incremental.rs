@@ -251,8 +251,10 @@ impl StandingEval {
             let seed = self.records[pos].has_second.then(|| a[pos + inserted]);
             let mirror = Mirror(&self.records);
             let mut window = ReversePreorder::new(&mirror, lo, hi);
-            kernel::fold_up(&mut window, &mut self.qa, seed, |ix, s| {
-                a[ix as usize] = s;
+            kernel::fold_up(&mut window, &mut self.qa, seed, |ix, states| {
+                for (slot, &s) in a[ix as usize..].iter_mut().zip(states) {
+                    *slot = ProgramId(s);
+                }
                 Ok(())
             })?;
         }

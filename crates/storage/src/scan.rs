@@ -2,113 +2,166 @@
 //!
 //! Both scan directions come in two backings behind one type each: a
 //! **raw** variant streaming the v1 fixed-width record array, and a
-//! **blocked** variant decoding v2 blocks (see [`crate::v2`]) into a
-//! reusable record buffer — one checksum-verified 64 KiB-class decode
-//! per block instead of a 2-byte read per record. Callers (the
-//! traversal drivers, the query kernels) see the same
-//! `next_record() -> (preorder index, record)` stream either way, so
+//! **blocked** variant decoding v2 blocks (see [`crate::v2`]). Either
+//! way a scan holds one **run** of decoded records at a time — a whole
+//! checksum-verified v2 block, or a 64 KiB slab of v1 records — and
+//! hands it to the folds as a slice ([`RecordStream::next_run`]).
+//! `next_record()` is a cursor over the current run, so per-record
+//! callers pay an index and a bounds check, nothing per-format.
 //! Proposition 5.1's two-linear-scans shape is untouched by the format.
 
 use crate::format::{NodeRecord, RECORD_BYTES};
-use crate::rev::RevReader;
 use crate::v2::{read_block, BlockMap};
-use arb_tree::traverse::RecordStream;
-use std::io::{self, BufReader, Read, Seek, SeekFrom};
+use arb_tree::traverse::{RecordStream, Run};
+use std::io::{self, Read, Seek, SeekFrom};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// Object-safe `Read + Seek`, so the blocked forward variant can hold a
-/// seekable reader without forcing `Seek` onto `ForwardScan`'s public
-/// `R: Read` bound (which in-memory `Cursor` tests and the traversal
-/// drivers rely on).
-trait ReadSeek: Read + Seek {}
-impl<T: Read + Seek> ReadSeek for T {}
+/// Records per run of a raw (v1) scan: 64 KiB of file per read.
+const SLAB_RECORDS: u32 = 32 * 1024;
 
-/// Shared state of a blocked (v2) scan in either direction.
-struct Blocked {
-    inner: Box<dyn ReadSeek>,
-    map: Arc<BlockMap>,
-    /// Lifetime block-decode counter of the owning database handle.
-    counter: Option<Arc<AtomicU64>>,
-    /// Reusable decoded-record buffer (one block).
+/// Where a scan's runs come from.
+enum Backing {
+    /// The v1 fixed-width record array, read a slab at a time.
+    Raw {
+        /// Reusable slab byte buffer.
+        bytes: Vec<u8>,
+    },
+    /// v2 blocks, decoded one at a time.
+    Blocked {
+        map: Arc<BlockMap>,
+        /// Lifetime block-decode counter of the owning database handle.
+        counter: Option<Arc<AtomicU64>>,
+        /// Reusable compressed-body scratch buffer.
+        scratch: Vec<u8>,
+    },
+}
+
+/// The run machinery both scan directions share: the reader, the decoded
+/// run and the part of it not yet served.
+struct Runs<R> {
+    inner: R,
+    backing: Backing,
+    /// The decoded run (a v2 block, or a v1 slab).
     buf: Vec<NodeRecord>,
-    /// Reusable compressed-body scratch buffer.
-    scratch: Vec<u8>,
-    /// Block index currently decoded in `buf` (`u32::MAX` = none).
-    loaded: u32,
+    /// Preorder index of `buf[0]`.
+    base: u32,
+    /// The unserved part of the run is `buf[lo..hi]`: a forward scan
+    /// serves from `lo` up, a backward scan from `hi` down.
+    lo: usize,
+    hi: usize,
 }
 
-impl Blocked {
-    fn new(inner: Box<dyn ReadSeek>, map: Arc<BlockMap>, counter: Option<Arc<AtomicU64>>) -> Self {
-        Blocked {
+impl<R: Read + Seek> Runs<R> {
+    fn new(inner: R, backing: Backing) -> Self {
+        Runs {
             inner,
-            map,
-            counter,
+            backing,
             buf: Vec::new(),
-            scratch: Vec::new(),
-            loaded: u32::MAX,
+            base: 0,
+            lo: 0,
+            hi: 0,
         }
     }
 
-    /// Returns the record at absolute preorder index `ix`, decoding its
-    /// block first if it is not the one already buffered.
-    fn record(&mut self, ix: u32) -> io::Result<NodeRecord> {
-        let b = self.map.block_of(ix);
-        if self.loaded != b {
-            read_block(
-                &mut self.inner,
-                self.map.offsets[b as usize],
-                self.map.records_in(b),
-                &mut self.scratch,
-                &mut self.buf,
-            )?;
-            self.loaded = b;
-            if let Some(c) = &self.counter {
-                c.fetch_add(1, Ordering::Relaxed);
+    /// Loads the next run of the (non-empty) window `[win_lo, win_hi)` —
+    /// the run holding its first record for a forward scan, its last for
+    /// a backward one; a raw slab starts, or ends, right there — and
+    /// marks the run's overlap with the window unserved.
+    fn load(&mut self, win_lo: u32, win_hi: u32, forward: bool) -> io::Result<()> {
+        let ix = if forward { win_lo } else { win_hi - 1 };
+        let (run_lo, run_hi) = match &mut self.backing {
+            Backing::Raw { bytes } => {
+                let (run_lo, run_hi) = if forward {
+                    (ix, win_hi.min(ix.saturating_add(SLAB_RECORDS)))
+                } else {
+                    (win_lo.max((ix + 1).saturating_sub(SLAB_RECORDS)), ix + 1)
+                };
+                bytes.resize((run_hi - run_lo) as usize * RECORD_BYTES, 0);
+                self.inner
+                    .seek(SeekFrom::Start(run_lo as u64 * RECORD_BYTES as u64))?;
+                self.inner.read_exact(bytes)?;
+                self.buf.clear();
+                self.buf.extend(
+                    bytes
+                        .chunks_exact(RECORD_BYTES)
+                        .map(|b| NodeRecord::from_bytes([b[0], b[1]])),
+                );
+                (run_lo, run_hi)
             }
-        }
-        Ok(self.buf[(ix - b * self.map.block_records) as usize])
+            Backing::Blocked {
+                map,
+                counter,
+                scratch,
+            } => {
+                let b = map.block_of(ix);
+                let n = map.records_in(b);
+                read_block(
+                    &mut self.inner,
+                    map.offsets[b as usize],
+                    n,
+                    scratch,
+                    &mut self.buf,
+                )?;
+                if let Some(c) = counter {
+                    c.fetch_add(1, Ordering::Relaxed);
+                }
+                let run_lo = b * map.block_records;
+                (run_lo, run_lo + n)
+            }
+        };
+        self.base = run_lo;
+        self.lo = (win_lo.max(run_lo) - run_lo) as usize;
+        self.hi = (win_hi.min(run_hi) - run_lo) as usize;
+        Ok(())
+    }
+
+    /// Hands out the whole unserved part of the run.
+    fn take_run(&mut self) -> Run<'_, NodeRecord> {
+        let (lo, hi) = (self.lo, self.hi);
+        self.lo = hi;
+        (self.base + lo as u32, &self.buf[lo..hi])
     }
 }
 
-enum FwdInner<R: Read> {
-    Raw(BufReader<R>),
-    Blocked(Blocked),
+fn check_window(lo: u32, hi: u32) -> io::Result<()> {
+    if lo > hi {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            "record window ends before it starts",
+        ));
+    }
+    Ok(())
 }
 
 /// Forward (left-to-right) record scan — the top-down traversal's input
 /// (paper Prop. 5.1). Yields `(preorder index, record)`.
-pub struct ForwardScan<R: Read> {
-    inner: FwdInner<R>,
+pub struct ForwardScan<R: Read + Seek> {
+    runs: Runs<R>,
+    /// First record no run has covered yet.
     next_ix: u32,
     /// One past the last record of the window.
     hi: u32,
 }
 
-impl<R: Read> ForwardScan<R> {
-    /// A scan over `n` raw (v1) records.
+impl<R: Read + Seek> ForwardScan<R> {
+    /// A scan over `n` raw (v1) records from the reader's start.
     pub fn new(inner: R, n: u32) -> Self {
         ForwardScan {
-            inner: FwdInner::Raw(BufReader::with_capacity(64 * 1024, inner)),
+            runs: Runs::new(inner, Backing::Raw { bytes: Vec::new() }),
             next_ix: 0,
             hi: n,
         }
     }
 
-    /// A raw (v1) scan over the record window `[lo, hi)`, seeking to
-    /// `lo` first — yielded indexes stay absolute preorder indexes.
-    /// Sharded phase-2 workers descend disjoint frontier subtrees with
-    /// these.
-    pub fn range(mut inner: R, lo: u32, hi: u32) -> io::Result<Self>
-    where
-        R: Seek,
-    {
-        debug_assert!(lo <= hi);
-        inner.seek(SeekFrom::Start(lo as u64 * RECORD_BYTES as u64))?;
+    /// A raw (v1) scan over the record window `[lo, hi)` — yielded
+    /// indexes stay absolute preorder indexes. Sharded phase-2 workers
+    /// descend disjoint frontier subtrees with these.
+    pub fn range(inner: R, lo: u32, hi: u32) -> io::Result<Self> {
+        check_window(lo, hi)?;
         Ok(ForwardScan {
-            inner: FwdInner::Raw(BufReader::with_capacity(64 * 1024, inner)),
             next_ix: lo,
-            hi,
+            ..Self::new(inner, hi)
         })
     }
 
@@ -120,56 +173,60 @@ impl<R: Read> ForwardScan<R> {
         counter: Option<Arc<AtomicU64>>,
         lo: u32,
         hi: u32,
-    ) -> Self
-    where
-        R: Seek + 'static,
-    {
+    ) -> Self {
         debug_assert!(lo <= hi);
+        let backing = Backing::Blocked {
+            map,
+            counter,
+            scratch: Vec::new(),
+        };
         ForwardScan {
-            inner: FwdInner::Blocked(Blocked::new(Box::new(inner), map, counter)),
+            runs: Runs::new(inner, backing),
             next_ix: lo,
             hi,
         }
     }
 
-    /// Reads the next record, or `None` after the last.
-    pub fn next_record(&mut self) -> io::Result<Option<(u32, NodeRecord)>> {
+    /// Makes the run after the current one current; `false` past the
+    /// window's last record.
+    fn advance(&mut self) -> io::Result<bool> {
         if self.next_ix >= self.hi {
+            return Ok(false);
+        }
+        self.runs.load(self.next_ix, self.hi, true)?;
+        self.next_ix = self.runs.base + self.runs.hi as u32;
+        Ok(true)
+    }
+
+    /// Reads the next record, or `None` after the last.
+    #[inline]
+    pub fn next_record(&mut self) -> io::Result<Option<(u32, NodeRecord)>> {
+        if self.runs.lo == self.runs.hi && !self.advance()? {
             return Ok(None);
         }
-        let ix = self.next_ix;
-        let rec = match &mut self.inner {
-            FwdInner::Raw(r) => {
-                let mut buf = [0u8; RECORD_BYTES];
-                r.read_exact(&mut buf)?;
-                NodeRecord::from_bytes(buf)
-            }
-            FwdInner::Blocked(b) => b.record(ix)?,
-        };
-        self.next_ix += 1;
-        Ok(Some((ix, rec)))
+        let at = self.runs.lo;
+        self.runs.lo += 1;
+        Ok(Some((self.runs.base + at as u32, self.runs.buf[at])))
     }
 }
 
-impl<R: Read> RecordStream for ForwardScan<R> {
+impl<R: Read + Seek> RecordStream for ForwardScan<R> {
     type Record = NodeRecord;
 
-    #[inline]
-    fn next_node(&mut self) -> io::Result<Option<(u32, NodeRecord)>> {
-        self.next_record()
+    fn next_run(&mut self) -> io::Result<Option<Run<'_, NodeRecord>>> {
+        if self.runs.lo == self.runs.hi && !self.advance()? {
+            return Ok(None);
+        }
+        Ok(Some(self.runs.take_run()))
     }
-}
-
-enum BwdInner<R: Read + Seek> {
-    Raw(RevReader<R>),
-    Blocked(Blocked),
 }
 
 /// Backward (right-to-left) record scan — the bottom-up traversal's input
 /// (paper Prop. 5.1). Yields `(preorder index, record)` from `hi−1` down
 /// to `lo` (the whole file with [`BackwardScan::new`]).
 pub struct BackwardScan<R: Read + Seek> {
-    inner: BwdInner<R>,
+    runs: Runs<R>,
+    /// One past the last record no run has covered yet.
     next_ix: u32,
     /// First record of the window (where the scan ends).
     lo: u32,
@@ -185,13 +242,9 @@ impl<R: Read + Seek> BackwardScan<R> {
     /// from `hi−1` — the input of per-worker phase-1 subtree runs in
     /// sharded evaluation.
     pub fn range(inner: R, lo: u32, hi: u32) -> io::Result<Self> {
+        check_window(lo, hi)?;
         Ok(BackwardScan {
-            inner: BwdInner::Raw(RevReader::for_range(
-                inner,
-                lo as u64 * RECORD_BYTES as u64,
-                hi as u64 * RECORD_BYTES as u64,
-                RECORD_BYTES,
-            )?),
+            runs: Runs::new(inner, Backing::Raw { bytes: Vec::new() }),
             next_ix: hi,
             lo,
         })
@@ -205,13 +258,15 @@ impl<R: Read + Seek> BackwardScan<R> {
         counter: Option<Arc<AtomicU64>>,
         lo: u32,
         hi: u32,
-    ) -> Self
-    where
-        R: 'static,
-    {
+    ) -> Self {
         debug_assert!(lo <= hi);
+        let backing = Backing::Blocked {
+            map,
+            counter,
+            scratch: Vec::new(),
+        };
         BackwardScan {
-            inner: BwdInner::Blocked(Blocked::new(Box::new(inner), map, counter)),
+            runs: Runs::new(inner, backing),
             next_ix: hi,
             lo,
         }
@@ -222,38 +277,37 @@ impl<R: Read + Seek> BackwardScan<R> {
         self.lo
     }
 
-    /// Reads the previous record, or `None` before the first.
-    pub fn next_record(&mut self) -> io::Result<Option<(u32, NodeRecord)>> {
-        match &mut self.inner {
-            BwdInner::Raw(rev) => {
-                let mut buf = [0u8; RECORD_BYTES];
-                match rev.read_record(&mut buf)? {
-                    None => Ok(None),
-                    Some(()) => {
-                        self.next_ix -= 1;
-                        Ok(Some((self.next_ix, NodeRecord::from_bytes(buf))))
-                    }
-                }
-            }
-            BwdInner::Blocked(b) => {
-                if self.next_ix <= self.lo {
-                    return Ok(None);
-                }
-                let ix = self.next_ix - 1;
-                let rec = b.record(ix)?;
-                self.next_ix = ix;
-                Ok(Some((ix, rec)))
-            }
+    /// Makes the run before the current one current; `false` before the
+    /// window's first record.
+    fn advance(&mut self) -> io::Result<bool> {
+        if self.next_ix <= self.lo {
+            return Ok(false);
         }
+        self.runs.load(self.lo, self.next_ix, false)?;
+        self.next_ix = self.runs.base + self.runs.lo as u32;
+        Ok(true)
+    }
+
+    /// Reads the previous record, or `None` before the first.
+    #[inline]
+    pub fn next_record(&mut self) -> io::Result<Option<(u32, NodeRecord)>> {
+        if self.runs.lo == self.runs.hi && !self.advance()? {
+            return Ok(None);
+        }
+        self.runs.hi -= 1;
+        let at = self.runs.hi;
+        Ok(Some((self.runs.base + at as u32, self.runs.buf[at])))
     }
 }
 
 impl<R: Read + Seek> RecordStream for BackwardScan<R> {
     type Record = NodeRecord;
 
-    #[inline]
-    fn next_node(&mut self) -> io::Result<Option<(u32, NodeRecord)>> {
-        self.next_record()
+    fn next_run(&mut self) -> io::Result<Option<Run<'_, NodeRecord>>> {
+        if self.runs.lo == self.runs.hi && !self.advance()? {
+            return Ok(None);
+        }
+        Ok(Some(self.runs.take_run()))
     }
 }
 
@@ -347,11 +401,83 @@ mod tests {
         assert_eq!(expected_ix, 0);
     }
 
+    /// Runs tile every window exactly, on slabs and on blocks, wherever
+    /// the window's ends fall inside a run — and `next_record` may take
+    /// over from `next_run` mid-stream, because both serve the one
+    /// current run.
+    #[test]
+    fn runs_tile_windows_across_slab_and_block_boundaries() {
+        let n = 2 * SLAB_RECORDS + 1_000; // three slabs, three blocks
+        let recs: Vec<NodeRecord> = (0..n)
+            .map(|i| NodeRecord {
+                label: LabelId((256 + (i * 31) % 700) as u16),
+                has_first: i % 3 == 0,
+                has_second: i % 5 == 1,
+            })
+            .collect();
+        let raw = file_of(&recs);
+        let (v2, map) = v2_file_of(&recs);
+        assert_eq!(map.offsets.len(), 3);
+        let edge = SLAB_RECORDS;
+        let windows = [
+            (0, n),
+            (edge - 1, edge + 1),
+            (edge, edge + 1),
+            (edge - 1, edge),
+            (5, 5),
+            (17, 2 * edge + 3),
+            (n - 1, n),
+        ];
+        for (lo, hi) in windows {
+            let forward = [
+                ForwardScan::range(Cursor::new(raw.clone()), lo, hi).unwrap(),
+                ForwardScan::blocked(Cursor::new(v2.clone()), map.clone(), None, lo, hi),
+            ];
+            for (mut scan, what) in forward.into_iter().zip(["raw", "blocked"]) {
+                let mut next = lo;
+                // The first run as a slice, the rest record by record.
+                if let Some((base, run)) = scan.next_run().unwrap() {
+                    assert_eq!(base, lo, "{what} [{lo}, {hi})");
+                    assert_eq!(run, &recs[base as usize..base as usize + run.len()]);
+                    next += run.len() as u32;
+                }
+                while let Some((ix, rec)) = scan.next_record().unwrap() {
+                    assert_eq!((ix, rec), (next, recs[next as usize]), "{what}");
+                    next += 1;
+                }
+                assert_eq!(next, hi, "{what} forward [{lo}, {hi})");
+                assert!(scan.next_run().unwrap().is_none());
+            }
+            let backward = [
+                BackwardScan::range(Cursor::new(raw.clone()), lo, hi).unwrap(),
+                BackwardScan::blocked(Cursor::new(v2.clone()), map.clone(), None, lo, hi),
+            ];
+            for (mut scan, what) in backward.into_iter().zip(["raw", "blocked"]) {
+                let mut end = hi;
+                // One record off the top, then runs: a run is what is
+                // left of the current slab or block.
+                if let Some((ix, rec)) = scan.next_record().unwrap() {
+                    assert_eq!((ix, rec), (hi - 1, recs[hi as usize - 1]), "{what}");
+                    end -= 1;
+                }
+                while let Some((base, run)) = scan.next_run().unwrap() {
+                    assert!(!run.is_empty());
+                    assert_eq!(base + run.len() as u32, end, "{what} [{lo}, {hi})");
+                    assert_eq!(run, &recs[base as usize..end as usize]);
+                    end = base;
+                }
+                assert_eq!(end, lo, "{what} backward [{lo}, {hi})");
+                assert!(scan.next_record().unwrap().is_none());
+            }
+        }
+        assert!(ForwardScan::range(Cursor::new(raw.clone()), 3, 2).is_err());
+        assert!(BackwardScan::range(Cursor::new(raw), 3, 2).is_err());
+    }
+
     #[test]
     fn blocked_scans_match_raw_scans() {
-        // Enough records to span multiple blocks would be slow here;
-        // block-boundary behavior is covered by the db-level tests. This
-        // exercises both directions and range windows on one block.
+        // One block, both directions and range windows; several blocks
+        // are `runs_tile_windows_across_slab_and_block_boundaries`'.
         let recs: Vec<NodeRecord> = (0..100u16)
             .map(|i| NodeRecord {
                 label: LabelId(256 + (i * 13) % 500),

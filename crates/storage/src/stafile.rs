@@ -42,8 +42,9 @@
 //! cannot drop them at their final offsets the way the flat layout can.
 //! A blocked **segment** `[lo, hi)` is therefore its own append-only
 //! side file (`<path>.seg-<lo>`): the writer buffers one block of
-//! states, and every time the backward pass crosses a block's lower
-//! boundary it reverses the buffer, encodes, and appends the finished
+//! states, filling it from the back as the backward pass hands it runs
+//! of states (each run in preorder, each directly below the last), and
+//! every time a block is full it encodes and appends the finished
 //! frame — blocks land in reverse block order and a checksummed footer
 //! (per-block file offsets, forward order) plus an 8-byte trailer
 //! (footer offset) make them seekable again. Sharded runs compose
@@ -57,10 +58,10 @@
 //! `InvalidData` with context — never a bare `UnexpectedEof`.
 
 use crate::rev::RevWriter;
-use crate::v2::crc32;
+use crate::v2::{crc32, short_varint};
 use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
-use std::io::{self, BufReader, BufWriter, Read, Seek, SeekFrom, Write};
+use std::io::{self, BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
 /// Bytes per state entry in the flat layout (and per *decoded* state).
@@ -336,38 +337,75 @@ fn read_varint64(body: &[u8], pos: &mut usize) -> io::Result<u64> {
     Err(invalid("varint longer than 10 bytes in .sta block body"))
 }
 
-/// Encodes one block of states (forward preorder) as a token stream,
-/// reusing `runs` as scratch. See the module docs for the token grammar.
-fn encode_sta_block(states: &[u32], runs: &mut Vec<(u32, u32)>, out: &mut Vec<u8>) {
-    out.clear();
-    runs.clear();
-    for &s in states {
-        match runs.last_mut() {
-            Some((v, len)) if *v == s => *len += 1,
-            _ => runs.push((s, 1)),
+/// States below this are counted by direct index when a block's default
+/// state is picked; automaton state ids are small and dense, so in
+/// practice that is all of them. Larger values (only a damaged or
+/// hand-made stream has them) are counted in a hash map, which keeps the
+/// counters' size independent of the values.
+const DENSE_STATES: u32 = 1 << 16;
+
+/// Reusable scratch of [`BlockEncoder::encode`].
+#[derive(Default)]
+struct BlockEncoder {
+    /// Occurrences per state below [`DENSE_STATES`]; all zero between
+    /// calls.
+    counts: Vec<u32>,
+    /// Occurrences of the states past the dense counters.
+    sparse: HashMap<u32, u32>,
+}
+
+impl BlockEncoder {
+    /// The block's default state: the one most of its nodes carry, the
+    /// smallest such on a tie (0 for an empty block).
+    fn default_state(&mut self, states: &[u32]) -> u32 {
+        let mut used = 0usize;
+        for &s in states {
+            if s < DENSE_STATES {
+                let s = s as usize;
+                if s >= self.counts.len() {
+                    self.counts.resize(s + 1, 0);
+                }
+                self.counts[s] += 1;
+                used = used.max(s + 1);
+            } else {
+                *self.sparse.entry(s).or_insert(0) += 1;
+            }
         }
+        let (mut best, mut most) = (0u32, 0u32);
+        for (s, count) in self.counts[..used].iter_mut().enumerate() {
+            if *count > most {
+                (best, most) = (s as u32, *count);
+            }
+            *count = 0;
+        }
+        for (s, count) in self.sparse.drain() {
+            if count > most || (count == most && s < best) {
+                (best, most) = (s, count);
+            }
+        }
+        best
     }
-    // The block's default state: the run value covering the most nodes.
-    let mut totals: HashMap<u32, u64> = HashMap::new();
-    for &(v, len) in runs.iter() {
-        *totals.entry(v).or_insert(0) += len as u64;
-    }
-    let default = totals
-        .into_iter()
-        .max_by_key(|&(v, total)| (total, std::cmp::Reverse(v)))
-        .map(|(v, _)| v)
-        .unwrap_or(0);
-    push_varint64(out, default as u64);
-    let mut prev = default;
-    for &(v, len) in runs.iter() {
-        if v == default {
-            push_varint64(out, ((len as u64) << 2) | 1);
-        } else {
-            // Tag 0 (literal) is the two low zero bits of the shift.
-            push_varint64(out, zigzag64(v as i64 - prev as i64) << 2);
-            prev = v;
-            if len > 1 {
-                push_varint64(out, (((len - 1) as u64) << 2) | 2);
+
+    /// Encodes one block of states (forward preorder) as a token stream.
+    /// See the module docs for the token grammar.
+    fn encode(&mut self, states: &[u32], out: &mut Vec<u8>) {
+        out.clear();
+        let default = self.default_state(states);
+        push_varint64(out, default as u64);
+        let mut prev = default;
+        let mut rest = states;
+        while let Some(&v) = rest.first() {
+            let len = rest.iter().take_while(|&&s| s == v).count();
+            rest = &rest[len..];
+            if v == default {
+                push_varint64(out, ((len as u64) << 2) | 1);
+            } else {
+                // Tag 0 (literal) is the two low zero bits of the shift.
+                push_varint64(out, zigzag64(v as i64 - prev as i64) << 2);
+                prev = v;
+                if len > 1 {
+                    push_varint64(out, (((len - 1) as u64) << 2) | 2);
+                }
             }
         }
     }
@@ -380,6 +418,10 @@ fn decode_sta_block(body: &[u8], n_records: u32, out: &mut Vec<u32>) -> io::Resu
     out.reserve(n_records as usize);
     let n = n_records as usize;
     let mut pos = 0usize;
+    let token = |pos: &mut usize| match short_varint(body, pos) {
+        Some(v) => Ok(v as u64),
+        None => read_varint64(body, pos),
+    };
     let default = read_varint64(body, &mut pos)?;
     if default > u32::MAX as u64 {
         return Err(invalid(".sta block default state out of range"));
@@ -387,7 +429,7 @@ fn decode_sta_block(body: &[u8], n_records: u32, out: &mut Vec<u32>) -> io::Resu
     let default = default as u32;
     let mut prev = default;
     while out.len() < n {
-        let v = read_varint64(body, &mut pos)?;
+        let v = token(&mut pos)?;
         match v & 3 {
             0 => {
                 let s = prev as i64 + unzigzag64(v >> 2);
@@ -403,9 +445,7 @@ fn decode_sta_block(body: &[u8], n_records: u32, out: &mut Vec<u32>) -> io::Resu
                     return Err(invalid(".sta run overruns its block"));
                 }
                 let fill = if tag == 1 { default } else { prev };
-                for _ in 0..count {
-                    out.push(fill);
-                }
+                out.resize(out.len() + count as usize, fill);
             }
             _ => return Err(invalid("reserved token tag 3 in .sta block")),
         }
@@ -423,15 +463,17 @@ struct BlockedSegWriter {
     lo: u64,
     hi: u64,
     block_records: u32,
-    /// Next index to receive a state is `pos − 1`; counts down to `lo`.
-    pos: u64,
-    /// States of the block being filled, in reverse (visit) order.
+    /// The block being filled, in preorder. The backward pass fills it
+    /// from the back: `cur[fill..]` is written, `cur[..fill]` is not.
     cur: Vec<u32>,
+    fill: usize,
+    /// Preorder index of `cur[0]`; `lo` once every block is flushed.
+    block_lo: u64,
     /// Per block (forward order), the file offset of its frame.
     offsets: Vec<u64>,
     file_pos: u64,
     body: Vec<u8>,
-    runs: Vec<(u32, u32)>,
+    encoder: BlockEncoder,
 }
 
 fn sta_block_count(lo: u64, hi: u64, block_records: u32) -> u64 {
@@ -446,41 +488,69 @@ impl BlockedSegWriter {
         out.write_all(&lo.to_le_bytes())?;
         out.write_all(&hi.to_le_bytes())?;
         out.write_all(&block_records.to_le_bytes())?;
-        let blocks = sta_block_count(lo, hi, block_records) as usize;
+        let blocks = sta_block_count(lo, hi, block_records);
+        // Blocks are aligned to `lo`, so the last one — the first the
+        // backward pass fills — is the short one.
+        let block_lo = lo + blocks.saturating_sub(1) * block_records as u64;
+        let first = (hi - block_lo) as usize;
         Ok(BlockedSegWriter {
             out,
             lo,
             hi,
             block_records,
-            pos: hi,
-            cur: Vec::with_capacity(block_records.min(1 << 16) as usize),
-            offsets: vec![u64::MAX; blocks],
+            cur: vec![0; first],
+            fill: first,
+            block_lo,
+            offsets: vec![u64::MAX; blocks as usize],
             file_pos: SEG_HEADER_BYTES,
             body: Vec::new(),
-            runs: Vec::new(),
+            encoder: BlockEncoder::default(),
         })
     }
 
+    fn overflow(&self) -> io::Error {
+        invalid(format!(
+            "segment [{}, {}) received more states than it holds",
+            self.lo, self.hi
+        ))
+    }
+
+    #[inline]
     fn write_state(&mut self, state: u32) -> io::Result<()> {
-        if self.pos == self.lo {
-            return Err(invalid(format!(
-                "segment [{}, {}) received more states than it holds",
-                self.lo, self.hi
-            )));
+        if self.fill == 0 {
+            return Err(self.overflow());
         }
-        self.cur.push(state);
-        self.pos -= 1;
-        if self.pos == self.lo || (self.pos - self.lo).is_multiple_of(self.block_records as u64) {
+        self.fill -= 1;
+        self.cur[self.fill] = state;
+        if self.fill == 0 {
             self.flush_block()?;
         }
         Ok(())
     }
 
-    /// Appends the finished block `[self.pos, self.pos + cur.len())`.
+    /// Takes a run of states in preorder, lying directly below the
+    /// states written so far; copies it into the block(s) it spans.
+    fn write_states(&mut self, mut states: &[u32]) -> io::Result<()> {
+        while !states.is_empty() {
+            if self.fill == 0 {
+                return Err(self.overflow());
+            }
+            let k = states.len().min(self.fill);
+            let (rest, tail) = states.split_at(states.len() - k);
+            self.cur[self.fill - k..self.fill].copy_from_slice(tail);
+            self.fill -= k;
+            states = rest;
+            if self.fill == 0 {
+                self.flush_block()?;
+            }
+        }
+        Ok(())
+    }
+
+    /// Appends the finished block `cur` and opens the one below it.
     fn flush_block(&mut self) -> io::Result<()> {
-        self.cur.reverse();
-        encode_sta_block(&self.cur, &mut self.runs, &mut self.body);
-        let j = ((self.pos - self.lo) / self.block_records as u64) as usize;
+        self.encoder.encode(&self.cur, &mut self.body);
+        let j = ((self.block_lo - self.lo) / self.block_records as u64) as usize;
         self.offsets[j] = self.file_pos;
         self.out.write_all(&(self.cur.len() as u32).to_le_bytes())?;
         self.out
@@ -488,22 +558,24 @@ impl BlockedSegWriter {
         self.out.write_all(&crc32(&self.body).to_le_bytes())?;
         self.out.write_all(&self.body)?;
         self.file_pos += (BLOCK_FRAME_BYTES + self.body.len()) as u64;
-        self.cur.clear();
+        let next = (self.block_lo - self.lo).min(self.block_records as u64);
+        self.block_lo -= next;
+        self.cur.resize(next as usize, 0);
+        self.fill = next as usize;
         Ok(())
     }
 
     /// Writes footer + trailer; errors unless exactly `hi − lo` states
     /// arrived. Returns the segment file's total size in bytes.
     fn finish(mut self) -> io::Result<u64> {
-        if self.pos != self.lo {
+        if self.fill != 0 {
             return Err(invalid(format!(
                 "segment [{}, {}) finished with {} states missing",
                 self.lo,
                 self.hi,
-                self.pos - self.lo
+                self.block_lo + self.fill as u64 - self.lo
             )));
         }
-        debug_assert!(self.cur.is_empty());
         let footer_offset = self.file_pos;
         let mut footer = Vec::with_capacity(self.offsets.len() * 8 + 4);
         for &off in &self.offsets {
@@ -718,10 +790,26 @@ impl StateFileWriter {
     }
 
     /// Writes the state of the next node (phase 1 visits `hi−1 .. lo`).
+    #[inline]
     pub fn write_state(&mut self, state: u32) -> io::Result<()> {
         match &mut self.inner {
             WriterInner::Flat(w, _) => w.write_record(&state.to_le_bytes()),
             WriterInner::Blocked(w) => w.write_state(state),
+        }
+    }
+
+    /// Writes the states of the next run of nodes: `states` is in
+    /// preorder and lies directly below everything written so far, so a
+    /// backward pass hands over `[k, hi)`, then `[j, k)`, and so on down
+    /// to `lo`. The blocked layout copies the slice into its block
+    /// buffer and encodes at block boundaries.
+    pub fn write_states(&mut self, states: &[u32]) -> io::Result<()> {
+        match &mut self.inner {
+            WriterInner::Flat(w, _) => states
+                .iter()
+                .rev()
+                .try_for_each(|s| w.write_record(&s.to_le_bytes())),
+            WriterInner::Blocked(w) => w.write_states(states),
         }
     }
 
@@ -738,8 +826,15 @@ impl StateFileWriter {
     }
 }
 
+/// States per refill of a flat reader: 64 KiB of file per read.
+const FLAT_READ_STATES: usize = 16 * 1024;
+
 enum ReaderInner {
-    Flat(BufReader<File>),
+    Flat {
+        f: File,
+        /// Reusable byte buffer of one refill.
+        bytes: Vec<u8>,
+    },
     Blocked {
         /// Non-overlapping segments, sorted by `lo`.
         segments: Vec<BlockedSegment>,
@@ -749,22 +844,26 @@ enum ReaderInner {
         n: u64,
         /// Cursor into `segments`.
         seg_idx: usize,
-        /// Decoded states of the current block.
-        buf: Vec<u32>,
-        buf_pos: usize,
         body: Vec<u8>,
     },
 }
 
-/// Reads state ids in preorder during the forward phase-2 scan. In the
-/// blocked layout each `read_state` serves from the current decoded
-/// block — whole-block decode, then a bounds check per node.
+/// Reads state ids in preorder during the forward phase-2 scan. Either
+/// layout is served from a **run** of decoded states — a whole decoded
+/// block, a 64 KiB slab of the flat file, a lone spine patch — so
+/// `read_state` is a bounds check per node and [`read_states`] a
+/// `memcpy` per run.
+///
+/// [`read_states`]: StateFileReader::read_states
 pub struct StateFileReader {
     inner: ReaderInner,
+    /// The current run; `run[run_pos..]` is still to be served.
+    run: Vec<u32>,
+    run_pos: usize,
     /// Next preorder index to serve (also the truncation-error context).
     ix: u64,
-    /// States served so far (`× 4` = decoded bytes).
-    served: u64,
+    /// The index the reader was opened on.
+    start: u64,
 }
 
 impl StateFileReader {
@@ -781,7 +880,10 @@ impl StateFileReader {
             StaFormat::Flat => {
                 let mut f = File::open(path)?;
                 f.seek(SeekFrom::Start(lo * STATE_BYTES as u64))?;
-                ReaderInner::Flat(BufReader::with_capacity(64 * 1024, f))
+                ReaderInner::Flat {
+                    f,
+                    bytes: Vec::new(),
+                }
             }
             StaFormat::Blocked => {
                 let mut head = [0u8; 8];
@@ -836,16 +938,16 @@ impl StateFileReader {
                     patch: load_patch(path)?,
                     n,
                     seg_idx: 0,
-                    buf: Vec::new(),
-                    buf_pos: 0,
                     body: Vec::new(),
                 }
             }
         };
         Ok(StateFileReader {
             inner,
+            run: Vec::new(),
+            run_pos: 0,
             ix: lo,
-            served: 0,
+            start: lo,
         })
     }
 
@@ -854,39 +956,77 @@ impl StateFileReader {
     /// with the failing node index — never a bare `UnexpectedEof`.
     #[inline]
     pub fn read_state(&mut self) -> io::Result<u32> {
-        if let ReaderInner::Blocked { buf, buf_pos, .. } = &mut self.inner {
-            if *buf_pos < buf.len() {
-                let s = buf[*buf_pos];
-                *buf_pos += 1;
-                self.ix += 1;
-                self.served += 1;
-                return Ok(s);
-            }
+        if self.run_pos == self.run.len() {
+            self.refill()?;
         }
-        self.read_state_slow()
+        let s = self.run[self.run_pos];
+        self.run_pos += 1;
+        self.ix += 1;
+        Ok(s)
     }
 
-    fn read_state_slow(&mut self) -> io::Result<u32> {
+    /// Fills a prefix of `out` with the states of the next nodes and
+    /// returns how many — at least one for a non-empty `out`, and never
+    /// across a run boundary, so an error (same contract as
+    /// [`read_state`](StateFileReader::read_state)) always concerns the
+    /// very next node: the states before it were delivered by earlier
+    /// calls.
+    pub fn read_states(&mut self, out: &mut [u32]) -> io::Result<usize> {
+        if out.is_empty() {
+            return Ok(0);
+        }
+        if self.run_pos == self.run.len() {
+            self.refill()?;
+        }
+        let k = out.len().min(self.run.len() - self.run_pos);
+        out[..k].copy_from_slice(&self.run[self.run_pos..self.run_pos + k]);
+        self.run_pos += k;
+        self.ix += k as u64;
+        Ok(k)
+    }
+
+    /// Loads the run holding node `self.ix` (the current one is spent).
+    /// Leaves at least one state to serve, or fails with none.
+    fn refill(&mut self) -> io::Result<()> {
+        self.run.clear();
+        self.run_pos = 0;
+        let loaded = self.load_run();
+        if loaded.is_err() {
+            self.run.clear();
+        }
+        loaded
+    }
+
+    fn load_run(&mut self) -> io::Result<()> {
         let ix = self.ix;
-        let s = match &mut self.inner {
-            ReaderInner::Flat(r) => {
-                let mut b = [0u8; STATE_BYTES];
-                r.read_exact(&mut b).map_err(|e| {
-                    if e.kind() == io::ErrorKind::UnexpectedEof {
-                        invalid(format!("state file truncated: no state for node {ix}"))
-                    } else {
-                        e
+        match &mut self.inner {
+            ReaderInner::Flat { f, bytes } => {
+                bytes.resize(FLAT_READ_STATES * STATE_BYTES, 0);
+                let mut filled = 0;
+                while filled < bytes.len() {
+                    match f.read(&mut bytes[filled..]) {
+                        Ok(0) => break,
+                        Ok(k) => filled += k,
+                        Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                        Err(e) => return Err(e),
                     }
-                })?;
-                u32::from_le_bytes(b)
+                }
+                self.run.extend(
+                    bytes[..filled]
+                        .chunks_exact(STATE_BYTES)
+                        .map(|b| u32::from_le_bytes(b.try_into().expect("4 bytes"))),
+                );
+                if self.run.is_empty() {
+                    return Err(invalid(format!(
+                        "state file truncated: no state for node {ix}"
+                    )));
+                }
             }
             ReaderInner::Blocked {
                 segments,
                 patch,
                 n,
                 seg_idx,
-                buf,
-                buf_pos,
                 body,
             } => {
                 if ix >= *n {
@@ -900,20 +1040,12 @@ impl StateFileReader {
                 match segments.get_mut(*seg_idx) {
                     Some(seg) if ix >= seg.lo => {
                         let j = ((ix - seg.lo) / seg.block_records as u64) as usize;
-                        seg.load_block(j, buf, body)?;
-                        *buf_pos = ((ix - seg.lo) % seg.block_records as u64) as usize;
-                        let s = buf[*buf_pos];
-                        *buf_pos += 1;
-                        s
+                        seg.load_block(j, &mut self.run, body)?;
+                        self.run_pos = ((ix - seg.lo) % seg.block_records as u64) as usize;
                     }
+                    // A spine node between segments: a run of one.
                     _ => match patch.get(&ix) {
-                        Some(&s) => {
-                            // A spine node between segments; keep the
-                            // block buffer empty so the fast path skips.
-                            buf.clear();
-                            *buf_pos = 0;
-                            s
-                        }
+                        Some(&s) => self.run.push(s),
                         None => {
                             return Err(invalid(format!(
                                 "state stream truncated: no segment or patch covers node {ix}"
@@ -922,16 +1054,14 @@ impl StateFileReader {
                     },
                 }
             }
-        };
-        self.ix += 1;
-        self.served += 1;
-        Ok(s)
+        }
+        Ok(())
     }
 
     /// Bytes of state data this reader delivered so far (4 per state —
     /// the *decoded* side of the stats split).
     pub fn decoded_bytes(&self) -> u64 {
-        self.served * STATE_BYTES as u64
+        (self.ix - self.start) * STATE_BYTES as u64
     }
 }
 
@@ -1045,13 +1175,13 @@ pub fn rewrite_blocked(path: &Path, states: &[u32], dirty_from: u64) -> io::Resu
     let mut offsets = vec![u64::MAX; new_blocks];
     let mut file_pos = SEG_HEADER_BYTES;
     let mut body = Vec::new();
-    let mut runs = Vec::new();
+    let mut encoder = BlockEncoder::default();
     // Re-encoded blocks land high-to-low, matching the backward writer's
     // file order (so the retained tail stays a tail).
     for j in (retained..new_blocks).rev() {
         let lo = j as u64 * r as u64;
         let hi = (lo + r as u64).min(new_n);
-        encode_sta_block(&states[lo as usize..hi as usize], &mut runs, &mut body);
+        encoder.encode(&states[lo as usize..hi as usize], &mut body);
         offsets[j] = file_pos;
         out.write_all(&((hi - lo) as u32).to_le_bytes())?;
         out.write_all(&(body.len() as u32).to_le_bytes())?;
@@ -1250,7 +1380,7 @@ mod tests {
 
     #[test]
     fn codec_roundtrips_hostile_blocks() {
-        let mut runs = Vec::new();
+        let mut encoder = BlockEncoder::default();
         let mut body = Vec::new();
         let mut out = Vec::new();
         let cases: Vec<Vec<u32>> = vec![
@@ -1262,7 +1392,7 @@ mod tests {
             vec![5, 5, 9, 9, 9, 5, 5, 5, 2],
         ];
         for states in cases {
-            encode_sta_block(&states, &mut runs, &mut body);
+            encoder.encode(&states, &mut body);
             decode_sta_block(&body, states.len() as u32, &mut out).unwrap();
             assert_eq!(out, states);
         }
@@ -1276,6 +1406,160 @@ mod tests {
         push_varint64(&mut bad, 0);
         push_varint64(&mut bad, (9 << 2) | 1);
         assert!(decode_sta_block(&bad, 2, &mut out).is_err());
+    }
+
+    /// The encoder before the per-state counters: one hash-map entry per
+    /// run to pick the default state. Kept as the reference the bytes
+    /// are pinned against.
+    fn reference_encode(states: &[u32], out: &mut Vec<u8>) {
+        out.clear();
+        let mut runs: Vec<(u32, u32)> = Vec::new();
+        for &s in states {
+            match runs.last_mut() {
+                Some((v, len)) if *v == s => *len += 1,
+                _ => runs.push((s, 1)),
+            }
+        }
+        let mut totals: HashMap<u32, u64> = HashMap::new();
+        for &(v, len) in &runs {
+            *totals.entry(v).or_insert(0) += len as u64;
+        }
+        let default = totals
+            .into_iter()
+            .max_by_key(|&(v, total)| (total, std::cmp::Reverse(v)))
+            .map_or(0, |(v, _)| v);
+        push_varint64(out, default as u64);
+        let mut prev = default;
+        for &(v, len) in &runs {
+            if v == default {
+                push_varint64(out, ((len as u64) << 2) | 1);
+            } else {
+                push_varint64(out, zigzag64(v as i64 - prev as i64) << 2);
+                prev = v;
+                if len > 1 {
+                    push_varint64(out, (((len - 1) as u64) << 2) | 2);
+                }
+            }
+        }
+    }
+
+    /// The block bytes are a format: the default state is the most
+    /// frequent one, the smallest on a tie, whether it is counted by
+    /// index or — past `DENSE_STATES` — by hash.
+    #[test]
+    fn encoder_bytes_match_the_reference() {
+        let big = DENSE_STATES + 5;
+        let mut cases: Vec<Vec<u32>> = vec![
+            vec![],
+            vec![9],
+            vec![3, 1, 3, 1],                 // tie: 1 wins
+            vec![big, 2, big, 2],             // tie across the counters: 2 wins
+            vec![big + 1, big, big + 1, big], // tie among the hashed: big wins
+            vec![big, big, 2, u32::MAX, u32::MAX, u32::MAX],
+            (0..500u32).map(|i| (i * i) % 7).collect(),
+        ];
+        let mut x = 12345u64;
+        cases.push(
+            (0..3000)
+                .map(|_| {
+                    x = x
+                        .wrapping_mul(6364136223846793005)
+                        .wrapping_add(1442695040888963407);
+                    ((x >> 40) % 5) as u32 * if x & 1 == 0 { 1 } else { 40_000 }
+                })
+                .collect(),
+        );
+        let mut encoder = BlockEncoder::default();
+        let (mut got, mut want, mut back) = (Vec::new(), Vec::new(), Vec::new());
+        for states in &cases {
+            // Twice: the counters must come back clean from the first use.
+            for _ in 0..2 {
+                encoder.encode(states, &mut got);
+                reference_encode(states, &mut want);
+                assert_eq!(got, want, "{states:?}");
+            }
+            decode_sta_block(&got, states.len() as u32, &mut back).unwrap();
+            assert_eq!(&back, states);
+        }
+    }
+
+    /// Runs and single states mix freely on both sides, wherever a run's
+    /// ends fall against the block frames: the stream is the same as
+    /// when written and read state by state.
+    #[test]
+    fn runs_cross_block_frames_on_both_sides() {
+        let dir = tmp_dir("runs");
+        let (lo, hi) = (5u64, 1_000u64);
+        let state_of = |ix: u64| ((ix * ix) % 11) as u32;
+        let all: Vec<u32> = (lo..hi).map(state_of).collect();
+        for format in BOTH {
+            let path = dir.join(format!("runs-{format}.sta"));
+            allocate(&path, hi, format).unwrap();
+            // 64-state blocks (set here, not through the process-wide
+            // environment knob other tests of this binary read).
+            let mut w = match format {
+                StaFormat::Flat => StateFileWriter::segment(&path, lo, hi, format).unwrap(),
+                StaFormat::Blocked => StateFileWriter {
+                    inner: WriterInner::Blocked(
+                        BlockedSegWriter::create(&seg_path(&path, lo), lo, hi, 64).unwrap(),
+                    ),
+                },
+            };
+            // Backwards, in runs of 1, 2, 3, … 100, 1, … states, each in
+            // preorder; every seventh run goes in state by state.
+            let (mut end, mut len, mut turn) = (all.len(), 1usize, 0);
+            while end > 0 {
+                let start = end.saturating_sub(len);
+                if turn % 7 == 6 {
+                    for &s in all[start..end].iter().rev() {
+                        w.write_state(s).unwrap();
+                    }
+                } else {
+                    w.write_states(&all[start..end]).unwrap();
+                }
+                (end, len, turn) = (start, len % 100 + 1, turn + 1);
+            }
+            if format == StaFormat::Blocked {
+                // (The flat writer reports an overfull window at `finish`.)
+                assert!(w.write_states(&[1]).is_err(), "the window is full");
+            }
+            w.finish().unwrap();
+            let mut p = StateFilePatcher::open(&path, format).unwrap();
+            for ix in 0..lo {
+                p.write_state_at(ix, state_of(ix)).unwrap();
+            }
+            p.finish().unwrap();
+
+            // Forwards from mid-block, asking for 1, 2, 3, … states.
+            for from in [0u64, lo, 70, 64 + lo, 999] {
+                let mut r = StateFileReader::open_at(&path, from, format).unwrap();
+                let (mut ix, mut ask) = (from, 1usize);
+                let mut buf = [0u32; 150];
+                while ix < hi {
+                    let k = if ask % 5 == 0 {
+                        buf[0] = r.read_state().unwrap();
+                        1
+                    } else {
+                        let want = ask.min((hi - ix) as usize);
+                        r.read_states(&mut buf[..want]).unwrap()
+                    };
+                    assert!(k >= 1, "{format}: a read makes progress");
+                    for (i, &s) in buf[..k].iter().enumerate() {
+                        assert_eq!(
+                            s,
+                            state_of(ix + i as u64),
+                            "{format}: node {}",
+                            ix + i as u64
+                        );
+                    }
+                    (ix, ask) = (ix + k as u64, ask % 150 + 1);
+                }
+                assert_eq!(r.decoded_bytes(), (hi - from) * 4, "{format}");
+                assert_eq!(r.read_states(&mut []).unwrap(), 0);
+                let err = r.read_states(&mut buf).unwrap_err();
+                assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{format}: {err}");
+            }
+        }
     }
 
     #[test]

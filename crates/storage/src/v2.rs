@@ -94,8 +94,12 @@ const MAX_BLOCK_BODY: u32 = 4 * BLOCK_RECORDS;
 /// 14-bit label mask, mirrored from the record format.
 const LABEL_MASK: u16 = (1 << 14) - 1;
 
-const CRC_TABLE: [u32; 256] = {
-    let mut table = [0u32; 256];
+/// Slicing-by-8 tables: `CRC_TABLES[0]` is the classic byte-at-a-time
+/// table, `CRC_TABLES[k][b]` the CRC of byte `b` followed by `k` zero
+/// bytes — so eight input bytes fold into the register with eight
+/// independent lookups instead of a chain of eight dependent ones.
+const CRC_TABLES: [[u32; 256]; 8] = {
+    let mut tables = [[0u32; 256]; 8];
     let mut i = 0;
     while i < 256 {
         let mut c = i as u32;
@@ -108,18 +112,43 @@ const CRC_TABLE: [u32; 256] = {
             };
             k += 1;
         }
-        table[i] = c;
+        tables[0][i] = c;
         i += 1;
     }
-    table
+    let mut k = 1;
+    while k < 8 {
+        let mut i = 0;
+        while i < 256 {
+            let prev = tables[k - 1][i];
+            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
+            i += 1;
+        }
+        k += 1;
+    }
+    tables
 };
 
 /// CRC-32 (IEEE 802.3 polynomial, the zlib/PNG variant), hand-rolled —
-/// the workspace is fully offline, so no checksum crate.
+/// the workspace is fully offline, so no checksum crate. Every block of
+/// every scan passes through here, so it folds eight bytes per step.
 pub fn crc32(bytes: &[u8]) -> u32 {
+    let t = &CRC_TABLES;
     let mut c = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        c = CRC_TABLE[((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
+    let mut words = bytes.chunks_exact(8);
+    for w in &mut words {
+        let lo = c ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
+        let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
+        c = t[7][(lo & 0xFF) as usize]
+            ^ t[6][(lo >> 8 & 0xFF) as usize]
+            ^ t[5][(lo >> 16 & 0xFF) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xFF) as usize]
+            ^ t[2][(hi >> 8 & 0xFF) as usize]
+            ^ t[1][(hi >> 16 & 0xFF) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in words.remainder() {
+        c = t[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
     }
     !c
 }
@@ -167,6 +196,26 @@ fn read_varint(body: &[u8], pos: &mut usize) -> io::Result<u32> {
     Err(invalid("varint longer than 5 bytes in block body"))
 }
 
+/// The varint at `pos` if it is one or two bytes long (and the body has
+/// two bytes left to look at), decoded without a branch on its length:
+/// short varints are nearly all of a record block or a `.sta` block, in
+/// no predictable order. `None` leaves `pos` alone for the general
+/// reader.
+#[inline]
+pub(crate) fn short_varint(body: &[u8], pos: &mut usize) -> Option<u32> {
+    let at = *pos;
+    if at + 1 >= body.len() {
+        return None;
+    }
+    let w = body[at] as u32 | (body[at + 1] as u32) << 8;
+    if w & 0x8080 == 0x8080 {
+        return None;
+    }
+    let two = w >> 7 & 1;
+    *pos = at + 1 + two as usize;
+    Some((w & 0x7F) | ((w >> 1 & 0x3F80) * two))
+}
+
 /// Encodes a run of records as one block body (delta/varint stream).
 pub fn encode_block(records: &[NodeRecord], out: &mut Vec<u8>) {
     out.clear();
@@ -179,26 +228,40 @@ pub fn encode_block(records: &[NodeRecord], out: &mut Vec<u8>) {
     }
 }
 
-/// Decodes one block body into `out` (cleared first). Every decoded
-/// label is range-checked; record-count and length mismatches are
-/// `InvalidData`.
+/// Decodes one block body into `out` (cleared first). Labels are
+/// range-checked once per block, through the running label's minimum and
+/// maximum; record-count and length mismatches are `InvalidData`.
 pub fn decode_block(body: &[u8], n_records: u32, out: &mut Vec<NodeRecord>) -> io::Result<()> {
     out.clear();
-    out.reserve(n_records as usize);
-    let mut prev = 0i32;
+    out.resize(
+        n_records as usize,
+        NodeRecord {
+            label: LabelId(0),
+            has_first: false,
+            has_second: false,
+        },
+    );
+    let mut label = 0i32;
+    let (mut min, mut max) = (0i32, 0i32);
     let mut pos = 0usize;
-    for _ in 0..n_records {
-        let v = read_varint(body, &mut pos)?;
-        let label = prev + unzigzag(v >> 2);
-        if !(0..=LABEL_MASK as i32).contains(&label) {
-            return Err(invalid("decoded label outside the 14-bit label space"));
-        }
-        prev = label;
-        out.push(NodeRecord {
+    for slot in out.iter_mut() {
+        let v = match short_varint(body, &mut pos) {
+            Some(v) => v,
+            None => read_varint(body, &mut pos)?,
+        };
+        // A delta is under 2^30 either way, so the first label to leave
+        // the label space is seen by `min`/`max` before the sum can wrap.
+        label = label.wrapping_add(unzigzag(v >> 2));
+        min = min.min(label);
+        max = max.max(label);
+        *slot = NodeRecord {
             label: LabelId(label as u16),
             has_first: v & 1 != 0,
             has_second: v & 2 != 0,
-        });
+        };
+    }
+    if min < 0 || max > LABEL_MASK as i32 {
+        return Err(invalid("decoded label outside the 14-bit label space"));
     }
     if pos != body.len() {
         return Err(invalid("block body longer than its record count"));
@@ -797,6 +860,15 @@ mod tests {
         // The standard IEEE test vector.
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
+        // Every length mod 8 takes the same value through the eight-byte
+        // steps as through the byte-at-a-time definition.
+        let data: Vec<u8> = (0..100u32).map(|i| (i * 37 + 11) as u8).collect();
+        for len in 0..data.len() {
+            let bytewise = !data[..len].iter().fold(!0u32, |c, &b| {
+                CRC_TABLES[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8)
+            });
+            assert_eq!(crc32(&data[..len]), bytewise, "length {len}");
+        }
     }
 
     #[test]
@@ -811,6 +883,25 @@ mod tests {
             let mut pos = 0;
             assert_eq!(read_varint(&buf, &mut pos).unwrap(), v);
             assert_eq!(pos, buf.len());
+        }
+        // The short path takes exactly the one- and two-byte varints,
+        // given two bytes to look at, and leaves `pos` alone otherwise.
+        for v in (0..20_000u32).chain([1 << 21, u32::MAX]) {
+            buf.clear();
+            push_varint(&mut buf, v);
+            let len = buf.len();
+            let mut pos = 0;
+            if len == 1 {
+                assert_eq!(short_varint(&buf, &mut pos), None, "{v}: a lone last byte");
+                assert_eq!(pos, 0);
+            }
+            buf.push(0xFF);
+            let short = short_varint(&buf, &mut pos);
+            if len <= 2 {
+                assert_eq!((short, pos), (Some(v), len), "{v}");
+            } else {
+                assert_eq!((short, pos), (None, 0), "{v}");
+            }
         }
     }
 
@@ -832,6 +923,35 @@ mod tests {
         assert!(decode_block(&body[..body.len() - 1], records.len() as u32, &mut out).is_err());
         // A record-count mismatch is detected.
         assert!(decode_block(&body, records.len() as u32 - 1, &mut out).is_err());
+    }
+
+    /// The label range check runs once per block: a label that leaves the
+    /// 14-bit space is an error even when a later delta brings the
+    /// running label back inside it, or wraps it around.
+    #[test]
+    fn decode_rejects_labels_outside_the_label_space() {
+        let body_of = |deltas: &[i32]| {
+            let mut body = Vec::new();
+            for &d in deltas {
+                push_varint(&mut body, zigzag(d) << 2);
+            }
+            body
+        };
+        let mut out = Vec::new();
+        let max = LABEL_MASK as i32;
+        for deltas in [
+            &[max, 1][..],
+            &[-1],
+            &[5, -6, 6],
+            &[max, 1, -1],
+            &[(1 << 29) - 1; 9],
+        ] {
+            let err = decode_block(&body_of(deltas), deltas.len() as u32, &mut out).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{deltas:?}");
+            assert!(err.to_string().contains("label space"), "{deltas:?}: {err}");
+        }
+        decode_block(&body_of(&[max, -max, max]), 3, &mut out).unwrap();
+        assert_eq!(out[2].label, LabelId(LABEL_MASK));
     }
 
     #[test]

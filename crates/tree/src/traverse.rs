@@ -46,14 +46,29 @@ impl Record for NodeInfo {
     }
 }
 
-/// One direction of a preorder record stream: yields `(preorder index,
-/// record)` pairs — ascending for a forward stream, descending for a
-/// backward one — over a window `[lo, hi)` of the document.
+/// A run of a [`RecordStream`]: the preorder index of its first record,
+/// and the records, consecutive and in ascending index order.
+pub type Run<'a, R> = (u32, &'a [R]);
+
+/// One direction of a preorder record stream over a window `[lo, hi)` of
+/// the document, delivered a **run** at a time: a slice of consecutive
+/// records plus the preorder index of its first one. Whatever the source
+/// holds contiguously is a run — a decoded storage block, a slab of
+/// fixed-width records, a chunk gathered from an in-memory tree — so the
+/// folds pay for the source's framing once per run and step the records
+/// in a plain slice loop.
+///
+/// A forward stream yields its runs in ascending order. A backward
+/// stream yields them in descending order — each run lies directly
+/// below the previous one — with the records *inside* a run still in
+/// ascending index order; the backward fold walks each slice from its
+/// end.
 pub trait RecordStream {
     /// The stream's record type.
     type Record: Record;
-    /// The next record of the stream, or `None` past its last.
-    fn next_node(&mut self) -> io::Result<Option<(u32, Self::Record)>>;
+    /// The next non-empty run `(index of run[0], run)`, or `None` past
+    /// the stream's last. An error ends the stream.
+    fn next_run(&mut self) -> io::Result<Option<Run<'_, Self::Record>>>;
 }
 
 /// A random-access preorder node sequence held in memory (a
@@ -77,32 +92,52 @@ impl NodeSeq for BinaryTree {
     }
 }
 
+/// Records per run of an in-memory sequence. A tree keeps labels and
+/// child links in separate arrays, so its streams gather each run into a
+/// small reused chunk. The size hardly matters — a warm in-memory
+/// evaluation of the 429k-node treebank measured 26.8 ns/node at 64
+/// records a run, 26.1 at 1024 and 26.2 at 16 Ki — so it is a constant:
+/// 1024 records are 6 KiB, resident in L1 beside the fold's stack.
+const SEQ_RUN: u32 = 1024;
+
+/// Gathers `seq[lo..hi]` into `chunk`.
+fn gather<T: NodeSeq + ?Sized>(seq: &T, lo: u32, hi: u32, chunk: &mut Vec<NodeInfo>) {
+    chunk.clear();
+    chunk.extend((lo..hi).map(|ix| seq.info_at(ix)));
+}
+
 /// Forward stream over the window `[lo, hi)` of an in-memory sequence.
 pub struct Preorder<'a, T: ?Sized> {
     seq: &'a T,
     next: u32,
     hi: u32,
+    chunk: Vec<NodeInfo>,
 }
 
 impl<'a, T: NodeSeq + ?Sized> Preorder<'a, T> {
     /// Streams `seq[lo..hi]` in preorder.
     pub fn new(seq: &'a T, lo: u32, hi: u32) -> Self {
         debug_assert!(lo <= hi && hi <= seq.node_count());
-        Preorder { seq, next: lo, hi }
+        Preorder {
+            seq,
+            next: lo,
+            hi,
+            chunk: Vec::new(),
+        }
     }
 }
 
 impl<T: NodeSeq + ?Sized> RecordStream for Preorder<'_, T> {
     type Record = NodeInfo;
 
-    #[inline]
-    fn next_node(&mut self) -> io::Result<Option<(u32, NodeInfo)>> {
+    fn next_run(&mut self) -> io::Result<Option<Run<'_, NodeInfo>>> {
         if self.next >= self.hi {
             return Ok(None);
         }
-        let ix = self.next;
-        self.next += 1;
-        Ok(Some((ix, self.seq.info_at(ix))))
+        let base = self.next;
+        self.next = self.hi.min(base.saturating_add(SEQ_RUN));
+        gather(self.seq, base, self.next, &mut self.chunk);
+        Ok(Some((base, &self.chunk)))
     }
 }
 
@@ -112,26 +147,33 @@ pub struct ReversePreorder<'a, T: ?Sized> {
     seq: &'a T,
     next: u32,
     lo: u32,
+    chunk: Vec<NodeInfo>,
 }
 
 impl<'a, T: NodeSeq + ?Sized> ReversePreorder<'a, T> {
     /// Streams `seq[lo..hi]` in reverse preorder.
     pub fn new(seq: &'a T, lo: u32, hi: u32) -> Self {
         debug_assert!(lo <= hi && hi <= seq.node_count());
-        ReversePreorder { seq, next: hi, lo }
+        ReversePreorder {
+            seq,
+            next: hi,
+            lo,
+            chunk: Vec::new(),
+        }
     }
 }
 
 impl<T: NodeSeq + ?Sized> RecordStream for ReversePreorder<'_, T> {
     type Record = NodeInfo;
 
-    #[inline]
-    fn next_node(&mut self) -> io::Result<Option<(u32, NodeInfo)>> {
+    fn next_run(&mut self) -> io::Result<Option<Run<'_, NodeInfo>>> {
         if self.next <= self.lo {
             return Ok(None);
         }
-        self.next -= 1;
-        Ok(Some((self.next, self.seq.info_at(self.next))))
+        let end = self.next;
+        self.next = self.lo.max(end.saturating_sub(SEQ_RUN));
+        gather(self.seq, self.next, end, &mut self.chunk);
+        Ok(Some((self.next, &self.chunk)))
     }
 }
 
@@ -166,21 +208,24 @@ pub fn bottom_up_scan_seeded<R: RecordStream, S>(
     mut step: impl FnMut(Option<S>, Option<S>, R::Record, u32) -> S,
 ) -> io::Result<S> {
     let mut stack: Vec<S> = seed.into_iter().collect();
-    while let Some((ix, rec)) = scan.next_node()? {
-        // Reading backwards, the most recently completed subtree is the
-        // first child's (its records directly follow v), so it is on top
-        // of the stack.
-        let s1 = if rec.has_first() {
-            Some(stack.pop().ok_or_else(corrupt)?)
-        } else {
-            None
-        };
-        let s2 = if rec.has_second() {
-            Some(stack.pop().ok_or_else(corrupt)?)
-        } else {
-            None
-        };
-        stack.push(step(s1, s2, rec, ix));
+    while let Some((base, run)) = scan.next_run()? {
+        for (i, &rec) in run.iter().enumerate().rev() {
+            let ix = base + i as u32;
+            // Reading backwards, the most recently completed subtree is
+            // the first child's (its records directly follow v), so it is
+            // on top of the stack.
+            let s1 = if rec.has_first() {
+                Some(stack.pop().ok_or_else(corrupt)?)
+            } else {
+                None
+            };
+            let s2 = if rec.has_second() {
+                Some(stack.pop().ok_or_else(corrupt)?)
+            } else {
+                None
+            };
+            stack.push(step(s1, s2, rec, ix));
+        }
     }
     match (stack.pop(), stack.is_empty()) {
         (Some(root), true) => Ok(root),
@@ -234,20 +279,23 @@ pub fn top_down_scan<R: RecordStream, S: Clone>(
     // Values for nodes whose second-child subtree is still ahead.
     let mut pending: Vec<S> = Vec::new();
     let mut ctx: Option<DownContext<S>> = Some(DownContext::Root);
-    while let Some((ix, rec)) = scan.next_node()? {
-        let here = ctx.take().ok_or_else(corrupt)?;
-        let s = step(here, rec, ix);
-        // Determine the context of the *next* record in preorder.
-        ctx = if rec.has_first() {
-            if rec.has_second() {
-                pending.push(s.clone());
-            }
-            Some(DownContext::Child(s, 1))
-        } else if rec.has_second() {
-            Some(DownContext::Child(s, 2))
-        } else {
-            pending.pop().map(|p| DownContext::Child(p, 2))
-        };
+    while let Some((base, run)) = scan.next_run()? {
+        for (i, &rec) in run.iter().enumerate() {
+            let ix = base + i as u32;
+            let here = ctx.take().ok_or_else(corrupt)?;
+            let s = step(here, rec, ix);
+            // Determine the context of the *next* record in preorder.
+            ctx = if rec.has_first() {
+                if rec.has_second() {
+                    pending.push(s.clone());
+                }
+                Some(DownContext::Child(s, 1))
+            } else if rec.has_second() {
+                Some(DownContext::Child(s, 2))
+            } else {
+                pending.pop().map(|p| DownContext::Child(p, 2))
+            };
+        }
     }
     if ctx.is_some() || !pending.is_empty() {
         return Err(corrupt());
@@ -385,6 +433,52 @@ mod tests {
         t.close();
         t.close();
         (t.finish().unwrap(), a, b)
+    }
+
+    /// In-memory streams cut a window into runs that tile it exactly:
+    /// ascending for the forward stream, descending — each run itself in
+    /// ascending order — for the backward one.
+    #[test]
+    fn sequence_streams_tile_their_window_with_runs() {
+        let mut lt = LabelTable::new();
+        let a = lt.intern("a").unwrap();
+        let mut b = TreeBuilder::new();
+        b.open(a);
+        for _ in 0..3 * SEQ_RUN {
+            b.leaf(a);
+        }
+        b.close();
+        let t = b.finish().unwrap();
+        for (lo, hi) in [
+            (0, t.len() as u32),
+            (7, 7),
+            (7, 8),
+            (SEQ_RUN - 1, 2 * SEQ_RUN + 5),
+        ] {
+            let mut fwd = Preorder::new(&t, lo, hi);
+            let mut next = lo;
+            while let Some((base, run)) = fwd.next_run().unwrap() {
+                assert_eq!(base, next);
+                assert!(!run.is_empty() && run.len() <= SEQ_RUN as usize);
+                for (i, info) in run.iter().enumerate() {
+                    assert_eq!(*info, t.info_at(base + i as u32));
+                }
+                next += run.len() as u32;
+            }
+            assert_eq!(next, hi, "forward [{lo}, {hi})");
+
+            let mut bwd = ReversePreorder::new(&t, lo, hi);
+            let mut end = hi;
+            while let Some((base, run)) = bwd.next_run().unwrap() {
+                assert_eq!(base + run.len() as u32, end);
+                assert!(!run.is_empty() && run.len() <= SEQ_RUN as usize);
+                for (i, info) in run.iter().enumerate() {
+                    assert_eq!(*info, t.info_at(base + i as u32));
+                }
+                end = base;
+            }
+            assert_eq!(end, lo, "backward [{lo}, {hi})");
+        }
     }
 
     #[test]

@@ -10,6 +10,12 @@
 //! thread counts × demands, driven directly and checked against the
 //! naive fixpoint (`kernel_matrix_agrees_with_naive`).
 //!
+//! `runs_end_anywhere_without_changing_a_state` takes that matrix to a
+//! document just over one 32 Ki-record storage block, where the three
+//! sources cut their runs in three different places (v2 blocks, v1
+//! slabs, 1024-record tree chunks) and none of them where the 64-state
+//! `.sta` blocks end.
+//!
 //! The whole suite pins `ARB_STA_BLOCK_RECORDS=64` (via the
 //! `EvalOptions`-independent env knob, set once before any evaluation),
 //! so the few-hundred-node documents span many blocks and the sharded
@@ -18,7 +24,7 @@
 //! 64-record frame.
 
 use arb::core::kernel::{self, Demand, NoStore, RecordSource, StateStore, VecStore, Visit};
-use arb::core::{AutomataPool, EvalStats};
+use arb::core::{AutomataPool, EvalStats, QueryAutomata, SubtreeIndex};
 use arb::datagen::queries::{RandomPathQuery, R_TOP_DOWN};
 use arb::datagen::{treebank_tree, RegexShape, TreebankConfig};
 use arb::engine::diskeval::{DiskSource, StaStore};
@@ -292,8 +298,8 @@ proptest! {
             }
             match source {
                 "tree" => with_store!(&tree),
-                "v1" => with_store!(&DiskSource(&v1)),
-                _ => with_store!(&DiskSource(&v2)),
+                "v1" => with_store!(&DiskSource::new(&v1)),
+                _ => with_store!(&DiskSource::new(&v2)),
             }
         };
 
@@ -330,5 +336,171 @@ proptest! {
                 }
             }
         }
+    }
+}
+
+/// Where a run ends is invisible. On a document just over one storage
+/// block the tree streams cut runs every 1024 records, the v1 scan at
+/// its 32 Ki-record slabs from whichever end it started, the v2 scan at
+/// the block edge, and the `.sta` stream every 64 states — yet every
+/// source × store yields one ρ_A id stream at `threads = 1`, and one set
+/// of results and one hook order at `threads ∈ {2, 3, 8}`, whose windows
+/// begin and end wherever subtrees do. Windows folded on their own — the
+/// subtrees straddling the block edge, and one-record windows on either
+/// side of it — agree across the sources id for id.
+#[test]
+fn runs_end_anywhere_without_changing_a_state() {
+    pin_tiny_blocks();
+    const EDGE: u32 = 32 * 1024;
+    let (tree, mut labels) = treebank(8_500, 7);
+    let n = tree.len() as u32;
+    assert!(
+        n > EDGE + 1024,
+        "the document must pass the block edge, has {n} nodes"
+    );
+    let progs: Vec<CoreProgram> = query_sources(2, 11)
+        .iter()
+        .map(|src| {
+            let mut prog = normalize(&parse_program(src, &mut labels).expect("query parses"));
+            let q = prog.pred_id("QUERY").expect("QUERY head");
+            prog.add_query_pred(q);
+            prog
+        })
+        .collect();
+    let merged = merge_programs(&progs.iter().collect::<Vec<_>>());
+    let groups: Vec<Vec<Atom>> = merged
+        .query_preds
+        .iter()
+        .map(|qs| qs.iter().map(|&p| Atom::local(p)).collect())
+        .collect();
+
+    let dir = std::env::temp_dir().join(format!("arb-stadiff-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let open = |format: FormatVersion| {
+        let path = dir.join(format!("runs-{format}.arb"));
+        create_from_tree_with(&tree, &labels, &path, format).expect("create database");
+        ArbDatabase::open(&path).expect("open database")
+    };
+    let (v1, v2) = (open(FormatVersion::V1), open(FormatVersion::V2));
+    let (s1, s2) = (DiskSource::new(&v1), DiskSource::new(&v2));
+
+    // --- Whole runs: every source × store × thread count ------------------
+    let mut baseline: Option<(Observed, Vec<ProgramId>)> = None;
+    for source in ["tree", "v1", "v2"] {
+        for store in ["vec", "flat", "blocked"] {
+            for threads in [1usize, 2, 3, 8] {
+                let sta =
+                    ScratchPath::new(dir.join(format!("runs-{source}-{store}-{threads}.sta")));
+                macro_rules! run {
+                    ($source:expr) => {
+                        match store {
+                            "vec" => observe(
+                                &merged.program,
+                                &groups,
+                                $source,
+                                &VecStore::new(n),
+                                "stream",
+                                threads,
+                            ),
+                            "flat" => observe(
+                                &merged.program,
+                                &groups,
+                                $source,
+                                &StaStore::new(sta.path(), StaFormat::Flat, n),
+                                "stream",
+                                threads,
+                            ),
+                            _ => observe(
+                                &merged.program,
+                                &groups,
+                                $source,
+                                &StaStore::new(sta.path(), StaFormat::Blocked, n),
+                                "stream",
+                                threads,
+                            ),
+                        }
+                    };
+                }
+                let (observed, rho_a, stats) = match source {
+                    "tree" => run!(&tree),
+                    "v1" => run!(&s1),
+                    _ => run!(&s2),
+                };
+                let at = format!("{source} x {store} x {threads} threads");
+                assert_eq!(stats.backward_scans > 1, threads > 1, "{at}: sharding");
+                assert_eq!(observed.stream.len(), n as usize, "{at}");
+                match &baseline {
+                    None => baseline = Some((observed, rho_a)),
+                    Some((want, want_rho_a)) => {
+                        assert!(observed == *want, "{at}: sets, counts or hook order differ");
+                        if threads == 1 {
+                            // Worker-local ids are renumbered into the
+                            // master; sequential runs share one numbering.
+                            assert!(rho_a == *want_rho_a, "{at}: the ρ_A id stream differs");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    // --- Single windows, folded up on their own ---------------------------
+    // Every subtree around the block edge (its window begins before the
+    // edge and ends past it, both mid-run on every source), the two
+    // leaves nearest the edge on either side (one-record windows), and
+    // the document itself.
+    let idx = SubtreeIndex::from_seq(&tree).expect("extents");
+    let is_leaf = |v: u32| idx.first_child(v).is_none() && idx.second_child(v).is_none();
+    let mut windows: Vec<(u32, u32)> = (0..=EDGE)
+        .filter(|&v| idx.end(v) > EDGE)
+        .map(|v| (v, idx.end(v)))
+        .collect();
+    assert!(windows.len() > 2, "the edge lies inside nested subtrees");
+    for leaf in [
+        (0..EDGE).rev().find(|&v| is_leaf(v)),
+        (EDGE..n).find(|&v| is_leaf(v)),
+    ] {
+        let v = leaf.expect("a leaf on either side of the edge");
+        windows.push((v, v + 1));
+    }
+    for (lo, hi) in windows {
+        let fold = |source: &dyn Fn(&mut QueryAutomata, &mut Vec<u32>) -> ProgramId| {
+            let mut qa = QueryAutomata::new(&merged.program);
+            let mut states = vec![u32::MAX; (hi - lo) as usize];
+            let root = source(&mut qa, &mut states);
+            assert_eq!(
+                root.0, states[0],
+                "[{lo}, {hi}): the root's state comes last"
+            );
+            states
+        };
+        macro_rules! fold_on {
+            ($source:expr) => {
+                fold(&|qa, states| {
+                    let mut scan = $source.backward(lo, hi).expect("open the window");
+                    let mut below = hi;
+                    kernel::fold_up(&mut scan, qa, None, |ix, run| {
+                        assert_eq!(ix + run.len() as u32, below, "runs descend without gaps");
+                        states[(ix - lo) as usize..][..run.len()].copy_from_slice(run);
+                        below = ix;
+                        Ok(())
+                    })
+                    .expect("fold the window up")
+                })
+            };
+        }
+        let on_tree = fold_on!(tree);
+        assert!(
+            on_tree.iter().all(|&s| s != u32::MAX),
+            "[{lo}, {hi}): every node got a state"
+        );
+        assert!(
+            fold_on!(s1) == on_tree,
+            "[{lo}, {hi}): v1 slabs against tree chunks"
+        );
+        assert!(
+            fold_on!(s2) == on_tree,
+            "[{lo}, {hi}): v2 blocks against tree chunks"
+        );
     }
 }
