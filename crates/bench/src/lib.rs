@@ -9,9 +9,6 @@
 //! * `baseline` — two-phase automata vs. naive datalog vs. direct XPath,
 //! * `multiquery` — several queries in one program (paper §7),
 //! * `parallel` — parallel bottom-up evaluation on balanced trees (§6.2),
-//! * `sharded` — per-thread scaling of the sharded **disk** path
-//!   (`ARB_THREADS`/`--threads` picks the worker counts; every run
-//!   asserts equality with the sequential pass),
 //! * `ablation` — memoization and residual-program-size ablations (also
 //!   asserts the "no hash tables" configuration keeps the δ tables
 //!   empty),

@@ -21,10 +21,6 @@
 //!
 //! Module map:
 //!
-//! * [`automata`] — classical nondeterministic/deterministic bottom-up
-//!   tree automata and weak top-down automata (Definition 3.1),
-//! * [`ops`] — determinization, boolean combinations, complement and
-//!   emptiness (the \[4\] toolbox),
 //! * [`sta`] — selecting tree automata (Definition 3.2), run enumeration,
 //!   and the TMNF→STA translation for small programs,
 //! * [`alphabet`] — dense interning of schema symbols (the automaton
@@ -45,11 +41,9 @@
 //!   (the paper's Figure 6 columns).
 
 pub mod alphabet;
-pub mod automata;
 pub mod frontier;
 pub mod kernel;
 pub mod lazy;
-pub mod ops;
 pub mod sta;
 pub mod stats;
 pub mod twophase;

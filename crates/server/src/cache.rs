@@ -3,16 +3,17 @@
 //! normalization, optimization **and** the single-query merge entirely
 //! and goes straight to the shared scan pair — and repeated admission
 //! *window shapes* skip the multi-query merge and the automata build
-//! too ([`WindowCache`]).
+//! too.
 //!
-//! The program cache is keyed on `(database, language, source text)` —
-//! the compiled program is label-bound, so the same source against a
-//! different database is a different entry. The window cache is keyed
-//! on the **sorted** multiset of the window's query specs (arrival
-//! order inside an admission window is nondeterministic under
-//! concurrency, so the shape is canonicalized before lookup). Both are
-//! byte-size-bounded with least-recently-used eviction;
-//! hit/miss/eviction counters surface on the wire through
+//! Both are one [`Lru`]: `Lru<CacheKey, PreparedProgram>` keyed on
+//! `(database, language, source text)` — the compiled program is
+//! label-bound, so the same source against a different database is a
+//! different entry — and `Lru<WindowKey, PreparedWindow>` keyed on the
+//! **sorted** multiset of the window's query specs (arrival order inside
+//! an admission window is nondeterministic under concurrency, so the
+//! shape is canonicalized before lookup). Each is bounded by modeled
+//! bytes ([`program_cost`], [`window_cost`]) with least-recently-used
+//! eviction; hit/miss/eviction counters surface on the wire through
 //! `ServerStats`.
 //!
 //! Every cached entry — single-query or merged window — carries an
@@ -24,7 +25,8 @@
 use crate::protocol::WireLanguage;
 use arb_engine::{AutomataPool, Query, QueryBatch};
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::hash::Hash;
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Cache key: a query is reusable only against the database whose label
 /// space it was compiled into.
@@ -65,13 +67,15 @@ impl PreparedProgram {
     }
 }
 
-/// Deterministic byte cost of one cache entry: key text plus a fixed
+/// Fixed model of an entry's size: per entry, per rule, per predicate.
+const ENTRY_OVERHEAD: usize = 256;
+const PER_RULE: usize = 96;
+const PER_PRED: usize = 32;
+
+/// Deterministic byte cost of one program entry: key text plus a fixed
 /// model of the compiled and merged program sizes. Deterministic (no
 /// allocator introspection) so eviction order is testable.
-fn entry_cost(key: &CacheKey, p: &PreparedProgram) -> usize {
-    const ENTRY_OVERHEAD: usize = 256;
-    const PER_RULE: usize = 96;
-    const PER_PRED: usize = 32;
+pub fn program_cost(key: &CacheKey, p: &PreparedProgram) -> usize {
     let prog = p.query.program();
     let merged = p.singleton.merged_program();
     ENTRY_OVERHEAD
@@ -81,27 +85,12 @@ fn entry_cost(key: &CacheKey, p: &PreparedProgram) -> usize {
         + (prog.pred_count() + merged.pred_count()) * PER_PRED
 }
 
-struct Slot {
-    prepared: Arc<PreparedProgram>,
-    bytes: usize,
-    last_used: u64,
-}
-
-struct Inner {
-    map: HashMap<CacheKey, Slot>,
-    bytes: usize,
-    tick: u64,
-    hits: u64,
-    misses: u64,
-    evictions: u64,
-}
-
-/// Counters and occupancy of a [`ProgramCache`].
+/// Counters and occupancy of an [`Lru`].
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
-    /// Lookups that found a prepared program.
+    /// Lookups that found an entry.
     pub hits: u64,
-    /// Lookups that found nothing (the caller compiles and inserts).
+    /// Lookups that found nothing (the caller builds and inserts).
     pub misses: u64,
     /// Entries evicted to make room.
     pub evictions: u64,
@@ -113,17 +102,34 @@ pub struct CacheStats {
     pub budget: u64,
 }
 
-/// A byte-bounded LRU cache of [`PreparedProgram`]s.
-pub struct ProgramCache {
-    inner: Mutex<Inner>,
+struct Slot<V> {
+    value: Arc<V>,
+    cost: usize,
+    last_used: u64,
+}
+
+struct Inner<K, V> {
+    map: HashMap<K, Slot<V>>,
+    bytes: usize,
+    tick: u64,
+    hits: u64,
+    misses: u64,
+    evictions: u64,
+}
+
+/// A byte-bounded, thread-safe LRU cache of shared values. The caller
+/// states each entry's cost on insert; entries are evicted least
+/// recently used first until a new one fits.
+pub struct Lru<K, V> {
+    inner: Mutex<Inner<K, V>>,
     budget: usize,
 }
 
-impl ProgramCache {
+impl<K: Eq + Hash + Clone, V> Lru<K, V> {
     /// A cache evicting least-recently-used entries past `budget` bytes
     /// (modeled bytes, see the module docs).
     pub fn new(budget: usize) -> Self {
-        ProgramCache {
+        Lru {
             inner: Mutex::new(Inner {
                 map: HashMap::new(),
                 bytes: 0,
@@ -136,18 +142,24 @@ impl ProgramCache {
         }
     }
 
-    /// Looks up a prepared program, counting a hit or a miss and
-    /// freshening the entry's recency on a hit.
-    pub fn lookup(&self, key: &CacheKey) -> Option<Arc<PreparedProgram>> {
-        let mut inner = self.inner.lock().unwrap();
+    fn locked(&self) -> MutexGuard<'_, Inner<K, V>> {
+        self.inner
+            .lock()
+            .expect("a thread panicked holding the cache lock")
+    }
+
+    /// Looks up an entry, counting a hit or a miss and freshening the
+    /// entry's recency on a hit.
+    pub fn lookup(&self, key: &K) -> Option<Arc<V>> {
+        let mut inner = self.locked();
         inner.tick += 1;
         let tick = inner.tick;
         match inner.map.get_mut(key) {
             Some(slot) => {
                 slot.last_used = tick;
-                let p = Arc::clone(&slot.prepared);
+                let value = Arc::clone(&slot.value);
                 inner.hits += 1;
-                Some(p)
+                Some(value)
             }
             None => {
                 inner.misses += 1;
@@ -156,20 +168,19 @@ impl ProgramCache {
         }
     }
 
-    /// Inserts a freshly compiled program, evicting least-recently-used
-    /// entries until it fits. Returns `false` (and caches nothing) when
-    /// the entry alone exceeds the whole budget. Re-inserting an
-    /// existing key replaces the entry.
-    pub fn insert(&self, key: CacheKey, prepared: Arc<PreparedProgram>) -> bool {
-        let cost = entry_cost(&key, &prepared);
+    /// Inserts an entry of `cost` modeled bytes, evicting
+    /// least-recently-used entries until it fits. Returns `false` (and
+    /// caches nothing) when the entry alone exceeds the whole budget.
+    /// Re-inserting an existing key replaces the entry.
+    pub fn insert(&self, key: K, value: Arc<V>, cost: usize) -> bool {
         if cost > self.budget {
             return false;
         }
-        let mut inner = self.inner.lock().unwrap();
+        let mut inner = self.locked();
         inner.tick += 1;
         let tick = inner.tick;
         if let Some(old) = inner.map.remove(&key) {
-            inner.bytes -= old.bytes;
+            inner.bytes -= old.cost;
         }
         while inner.bytes + cost > self.budget {
             let Some(victim) = inner
@@ -181,15 +192,15 @@ impl ProgramCache {
                 break;
             };
             let evicted = inner.map.remove(&victim).expect("victim exists");
-            inner.bytes -= evicted.bytes;
+            inner.bytes -= evicted.cost;
             inner.evictions += 1;
         }
         inner.bytes += cost;
         inner.map.insert(
             key,
             Slot {
-                prepared,
-                bytes: cost,
+                value,
+                cost,
                 last_used: tick,
             },
         );
@@ -198,7 +209,7 @@ impl ProgramCache {
 
     /// Current counters and occupancy.
     pub fn stats(&self) -> CacheStats {
-        let inner = self.inner.lock().unwrap();
+        let inner = self.locked();
         CacheStats {
             hits: inner.hits,
             misses: inner.misses,
@@ -218,7 +229,7 @@ impl ProgramCache {
 /// order every round; sorting makes the shape stable. Duplicates are
 /// kept — a window of two identical queries is a different shape than
 /// one of them alone. Scoped per database (each `DbEntry` owns its own
-/// [`WindowCache`]), so the database name is not part of the key.
+/// window cache), so the database name is not part of the key.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct WindowKey {
     /// `(language, source)` specs, sorted.
@@ -245,130 +256,13 @@ pub struct PreparedWindow {
 }
 
 /// Deterministic byte cost of one window entry — the key text plus the
-/// same fixed program-size model as [`entry_cost`].
-fn window_cost(key: &WindowKey, w: &PreparedWindow) -> usize {
-    const ENTRY_OVERHEAD: usize = 256;
-    const PER_RULE: usize = 96;
-    const PER_PRED: usize = 32;
+/// same fixed program-size model as [`program_cost`].
+pub fn window_cost(key: &WindowKey, w: &PreparedWindow) -> usize {
     let merged = w.batch.merged_program();
     ENTRY_OVERHEAD
         + key.specs.iter().map(|(_, s)| s.len()).sum::<usize>()
         + merged.rule_count() * PER_RULE
         + merged.pred_count() * PER_PRED
-}
-
-struct WindowSlot {
-    prepared: Arc<PreparedWindow>,
-    bytes: usize,
-    last_used: u64,
-}
-
-struct WindowInner {
-    map: HashMap<WindowKey, WindowSlot>,
-    bytes: usize,
-    tick: u64,
-    hits: u64,
-    misses: u64,
-    evictions: u64,
-}
-
-/// A byte-bounded LRU cache of [`PreparedWindow`]s — one per database.
-/// A hit means the dispatched window skips `merge_programs` *and* finds
-/// warm automata in the entry's pool; the per-run
-/// `automata_builds == 0` wire counter is the observable consequence.
-pub struct WindowCache {
-    inner: Mutex<WindowInner>,
-    budget: usize,
-}
-
-impl WindowCache {
-    /// A cache evicting least-recently-used window shapes past `budget`
-    /// modeled bytes.
-    pub fn new(budget: usize) -> Self {
-        WindowCache {
-            inner: Mutex::new(WindowInner {
-                map: HashMap::new(),
-                bytes: 0,
-                tick: 0,
-                hits: 0,
-                misses: 0,
-                evictions: 0,
-            }),
-            budget,
-        }
-    }
-
-    /// Looks up a prepared window shape, counting a hit or a miss and
-    /// freshening the entry's recency on a hit.
-    pub fn lookup(&self, key: &WindowKey) -> Option<Arc<PreparedWindow>> {
-        let mut inner = self.inner.lock().unwrap();
-        inner.tick += 1;
-        let tick = inner.tick;
-        match inner.map.get_mut(key) {
-            Some(slot) => {
-                slot.last_used = tick;
-                let w = Arc::clone(&slot.prepared);
-                inner.hits += 1;
-                Some(w)
-            }
-            None => {
-                inner.misses += 1;
-                None
-            }
-        }
-    }
-
-    /// Inserts a freshly merged window, evicting least-recently-used
-    /// shapes until it fits; returns `false` (caching nothing) when the
-    /// entry alone exceeds the budget.
-    pub fn insert(&self, key: WindowKey, prepared: Arc<PreparedWindow>) -> bool {
-        let cost = window_cost(&key, &prepared);
-        if cost > self.budget {
-            return false;
-        }
-        let mut inner = self.inner.lock().unwrap();
-        inner.tick += 1;
-        let tick = inner.tick;
-        if let Some(old) = inner.map.remove(&key) {
-            inner.bytes -= old.bytes;
-        }
-        while inner.bytes + cost > self.budget {
-            let Some(victim) = inner
-                .map
-                .iter()
-                .min_by_key(|(_, s)| s.last_used)
-                .map(|(k, _)| k.clone())
-            else {
-                break;
-            };
-            let evicted = inner.map.remove(&victim).expect("victim exists");
-            inner.bytes -= evicted.bytes;
-            inner.evictions += 1;
-        }
-        inner.bytes += cost;
-        inner.map.insert(
-            key,
-            WindowSlot {
-                prepared,
-                bytes: cost,
-                last_used: tick,
-            },
-        );
-        true
-    }
-
-    /// Current counters and occupancy.
-    pub fn stats(&self) -> CacheStats {
-        let inner = self.inner.lock().unwrap();
-        CacheStats {
-            hits: inner.hits,
-            misses: inner.misses,
-            evictions: inner.evictions,
-            entries: inner.map.len() as u64,
-            bytes: inner.bytes as u64,
-            budget: self.budget as u64,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -388,6 +282,13 @@ mod tests {
         Arc::new(PreparedProgram::new(db.compile_tmnf(src).unwrap()))
     }
 
+    type ProgramCache = Lru<CacheKey, PreparedProgram>;
+
+    /// Inserts at the program's modeled cost, as the server does.
+    fn put(cache: &ProgramCache, key: &CacheKey, p: Arc<PreparedProgram>) -> bool {
+        cache.insert(key.clone(), Arc::clone(&p), program_cost(key, &p))
+    }
+
     #[test]
     fn hit_and_miss_counters() {
         let mut db = Database::from_xml_str("<r><a/></r>").unwrap();
@@ -398,7 +299,7 @@ mod tests {
         assert_eq!(cache.stats().hits, 0);
 
         let p = compile(&mut db, &k.source);
-        assert!(cache.insert(k.clone(), p));
+        assert!(put(&cache, &k, p));
         assert!(cache.lookup(&k).is_some());
         assert!(cache.lookup(&k).is_some());
         let s = cache.stats();
@@ -421,13 +322,13 @@ mod tests {
         );
         // A budget that holds exactly two of these (near-identical)
         // entries: inserting a third must evict the least recently used.
-        let one = entry_cost(&ka, &pa);
+        let one = program_cost(&ka, &pa);
         let cache = ProgramCache::new(2 * one + one / 2);
-        assert!(cache.insert(ka.clone(), pa));
-        assert!(cache.insert(kb.clone(), pb));
+        assert!(put(&cache, &ka, pa));
+        assert!(put(&cache, &kb, pb));
         // Freshen `a`, making `b` the LRU victim.
         assert!(cache.lookup(&ka).is_some());
-        assert!(cache.insert(kc.clone(), pc));
+        assert!(put(&cache, &kc, pc));
         let s = cache.stats();
         assert_eq!(s.evictions, 1);
         assert_eq!(s.entries, 2);
@@ -443,7 +344,7 @@ mod tests {
         let k = key("d", "QUERY :- V.Label[a];");
         let p = compile(&mut db, &k.source);
         let cache = ProgramCache::new(8); // smaller than any entry
-        assert!(!cache.insert(k.clone(), p));
+        assert!(!put(&cache, &k, p));
         assert_eq!(cache.stats().entries, 0);
         assert!(cache.lookup(&k).is_none());
     }
@@ -472,13 +373,14 @@ mod tests {
             (WireLanguage::Tmnf, qa.source.clone()),
             (WireLanguage::Tmnf, qb.source.clone()),
         ]);
-        let cache = WindowCache::new(1 << 20);
+        let cache = Lru::<WindowKey, PreparedWindow>::new(1 << 20);
         assert!(cache.lookup(&key).is_none());
         let prepared = Arc::new(PreparedWindow {
             batch: QueryBatch::new(&[qa, qb]),
             pool: Arc::new(arb_engine::AutomataPool::new()),
         });
-        assert!(cache.insert(key.clone(), Arc::clone(&prepared)));
+        let cost = window_cost(&key, &prepared);
+        assert!(cache.insert(key.clone(), Arc::clone(&prepared), cost));
         let hit = cache.lookup(&key).unwrap();
         assert!(Arc::ptr_eq(&hit.pool, &prepared.pool));
         let s = cache.stats();
@@ -492,7 +394,7 @@ mod tests {
         let mut db = Database::from_xml_str(xml).unwrap();
         let cache = ProgramCache::new(1 << 20);
         let k = key("d", src);
-        cache.insert(k.clone(), compile(&mut db, src));
+        put(&cache, &k, compile(&mut db, src));
         let cached = cache.lookup(&k).unwrap();
 
         // Cached prepared batch vs a fresh compile of the same source.

@@ -9,7 +9,7 @@
 //! start, database open, query compilation, one backward + one forward
 //! scan. The server amortizes all four. A **database registry** holds
 //! open [`arb_engine::Database`] handles across requests; a
-//! **prepared-program cache** ([`cache::ProgramCache`]) skips
+//! **prepared-program cache** (a [`cache::Lru`]) skips
 //! parse/normalize/optimize for repeated query text; and the **admission
 //! batcher** ([`server`]) merges every request that arrives within a
 //! small window (default 2 ms, cap 64) against the same database into
@@ -26,7 +26,7 @@
 //! Compiled tree automata follow the engine's build-once / eval-many
 //! lifecycle all the way to the wire. Each cached program carries its
 //! own [`arb_engine::AutomataPool`], and multi-query windows go through
-//! a **window-shape cache** ([`cache::WindowCache`]): the merged
+//! a **window-shape cache** (another [`cache::Lru`]): the merged
 //! [`arb_engine::QueryBatch`] and its pool are keyed by the *sorted*
 //! query texts of the window, so the same k queries landing together
 //! again — in any arrival order — skip both the batch merge and the
@@ -130,7 +130,7 @@ pub mod client;
 pub mod protocol;
 pub mod server;
 
-pub use cache::{CacheStats, ProgramCache, WindowCache, WindowKey};
+pub use cache::{CacheStats, Lru, WindowKey};
 pub use client::{Client, ClientError, QueryReply, RegisterReply};
 pub use protocol::{
     ErrorCode, OutputKind, QueryResult, Request, Response, ServerStatsReply, StandingPush,

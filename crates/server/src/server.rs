@@ -12,7 +12,7 @@
 //! connection. k concurrent clients cost one scan pair, not k.
 
 use crate::cache::{
-    CacheKey, PreparedProgram, PreparedWindow, ProgramCache, WindowCache, WindowKey,
+    program_cost, window_cost, CacheKey, Lru, PreparedProgram, PreparedWindow, WindowKey,
 };
 use crate::protocol::{
     ErrorCode, OutputKind, QueryResult, Request, Response, ServerStatsReply, StandingPush,
@@ -100,7 +100,7 @@ struct DbEntry {
     db: RwLock<Database>,
     state: Mutex<QueueState>,
     cv: Condvar,
-    windows: WindowCache,
+    windows: Lru<WindowKey, PreparedWindow>,
     /// Standing query batches installed on this database, by handle.
     /// Lock order: `standing` before `db` — `Register` and `UpdateDoc`
     /// both take the map first, then the database write lock, so an
@@ -127,7 +127,7 @@ struct Counters {
 struct ServerShared {
     config: ServerConfig,
     dbs: HashMap<String, Arc<DbEntry>>,
-    cache: ProgramCache,
+    cache: Lru<CacheKey, PreparedProgram>,
     counters: Counters,
     next_handle: AtomicU64,
     shutdown: AtomicBool,
@@ -184,7 +184,7 @@ impl Server {
                         db: RwLock::new(db),
                         state: Mutex::new(QueueState::default()),
                         cv: Condvar::new(),
-                        windows: WindowCache::new(config.cache_budget),
+                        windows: Lru::new(config.cache_budget),
                         standing: Mutex::new(HashMap::new()),
                     }),
                 )
@@ -199,7 +199,7 @@ impl Server {
         let listener = TcpListener::bind(&config.listen)?;
         let addr = listener.local_addr()?;
         listener.set_nonblocking(true)?;
-        let cache = ProgramCache::new(config.cache_budget);
+        let cache = Lru::new(config.cache_budget);
         let shared = Arc::new(ServerShared {
             config,
             dbs,
@@ -591,7 +591,8 @@ fn process_query(
                 }
             };
             let prepared = Arc::new(PreparedProgram::new(query));
-            shared.cache.insert(key, Arc::clone(&prepared));
+            let cost = program_cost(&key, &prepared);
+            shared.cache.insert(key, Arc::clone(&prepared), cost);
             (prepared, false)
         }
     };
@@ -721,7 +722,8 @@ fn resolve_window(entry: &DbEntry, items: &[Pending]) -> (WindowBatch, Vec<usize
                 pool: Arc::new(AutomataPool::new()),
             });
             // Budget overflows just skip caching; the window still runs.
-            entry.windows.insert(key, Arc::clone(&w));
+            let cost = window_cost(&key, &w);
+            entry.windows.insert(key, Arc::clone(&w), cost);
             w
         }
     };

@@ -39,7 +39,8 @@
 //!   index** that lets `[lo, hi)` range scans seek straight to the
 //!   right block. Truncation, bit flips, checksum damage and crashed
 //!   creations are all rejected at open or scan time with
-//!   `InvalidData`. See [`v2`] for the exact byte layout.
+//!   `InvalidData`. See [`v2`] for the exact byte layout and [`frame`]
+//!   for the block frame and index grammar.
 //!
 //! ## The `.sta` state stream
 //!
@@ -49,12 +50,21 @@
 //! two layouts behind one API ([`StaFormat`], default blocked,
 //! `ARB_STA_FORMAT=flat` for the paper's bare 4-bytes-per-node array):
 //! the blocked layout groups states into fixed-record-count blocks, each
-//! framed `{n_records, body_len, crc32}` like a v2 record block, with a
+//! in the same [`frame`] block frame as a v2 record block, with a
 //! body of LEB128 varint tokens — delta-coded literals, run-length runs,
 //! and a **skip-default** run token eliding nodes whose state equals the
 //! block's most frequent state. Sharded runs compose out of per-worker
 //! segment side files plus a spine patch file; see [`stafile`] for the
 //! exact byte layout and the sharding story.
+//!
+//! ## One framing layer
+//!
+//! Both layouts share [`frame`]: the `{n_records, body_len, crc32}`
+//! block frame, the CRC'd offset index that makes blocks seekable,
+//! CRC-32 itself and the LEB128 varint / zigzag codec. Every frame and
+//! index on disk is written and parsed there, with the record count,
+//! body bound, checksum and index arithmetic checked in one place; the
+//! codecs in [`v2`] and [`stafile`] own only what goes inside a body.
 //!
 //! ## In-place updates
 //!
@@ -72,6 +82,7 @@ pub mod create;
 pub mod db;
 pub mod evt;
 pub mod format;
+pub mod frame;
 pub mod rev;
 pub mod scan;
 pub mod stafile;

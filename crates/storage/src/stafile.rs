@@ -32,11 +32,11 @@
 //!   | 2 | a run of `v >> 2` repeats of `prev` (run-length encoding) |
 //!   | 3 | reserved — rejected as `InvalidData` |
 //!
-//!   `prev` starts at the default state per block. Each block is framed
-//!   `{n_records: u32, body_len: u32, crc32(body): u32}` and decodes
-//!   into a reusable buffer, so phase 2 serves states from a decoded
-//!   block with a bounds check instead of one buffered 4-byte file read
-//!   per node.
+//!   `prev` starts at the default state per block. Each block is a
+//!   [`crate::frame`] block frame `{n_records, body_len, crc32(body)}`,
+//!   the same as a v2 record block's, and decodes into a reusable
+//!   buffer, so phase 2 serves states from a decoded block with a bounds
+//!   check instead of one buffered 4-byte file read per node.
 //!
 //! Because compressed blocks have variable length, a backward writer
 //! cannot drop them at their final offsets the way the flat layout can.
@@ -45,10 +45,10 @@
 //! states, filling it from the back as the backward pass hands it runs
 //! of states (each run in preorder, each directly below the last), and
 //! every time a block is full it encodes and appends the finished
-//! frame — blocks land in reverse block order and a checksummed footer
-//! (per-block file offsets, forward order) plus an 8-byte trailer
-//! (footer offset) make them seekable again. Sharded runs compose
-//! exactly as in the flat layout: the coordinator's [`allocate`] writes
+//! frame — blocks land in reverse block order and a footer (a
+//! [`crate::frame`] offset index of the blocks, in forward order) plus
+//! an 8-byte trailer (footer offset) make them seekable again. Sharded
+//! runs compose exactly as in the flat layout: the coordinator's [`allocate`] writes
 //! a small manifest at `<path>`, each worker appends its own segment
 //! file concurrently, and the spine patcher writes `(ix, state)` pairs
 //! to `<path>.patch`. A sequential run writes one segment `[0, n)`
@@ -57,8 +57,10 @@
 //! frames, checksum damage and reserved tags all surface as
 //! `InvalidData` with context — never a bare `UnexpectedEof`.
 
+use crate::frame::{
+    self, crc32, invalid, push_varint, read_varint, short_varint, unzigzag, zigzag,
+};
 use crate::rev::RevWriter;
-use crate::v2::{crc32, short_varint};
 use std::collections::HashMap;
 use std::fs::{File, OpenOptions};
 use std::io::{self, BufWriter, Read, Seek, SeekFrom, Write};
@@ -79,16 +81,10 @@ pub const DEFAULT_BLOCK_RECORDS: u32 = 32 * 1024;
 
 /// Segment header: magic, lo, hi, block_records.
 const SEG_HEADER_BYTES: u64 = 8 + 8 + 8 + 4;
-/// Per-block frame: record count, body length, body CRC32.
-const BLOCK_FRAME_BYTES: usize = 12;
 /// Manifest: magic, node count, block_records, CRC32 of the first 20.
 const MANIFEST_BYTES: u64 = 8 + 8 + 4 + 4;
 /// Patch entry: node index (u64) + state (u32).
 const PATCH_ENTRY_BYTES: u64 = 12;
-
-fn invalid(msg: impl Into<String>) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, msg.into())
-}
 
 /// The on-disk layout of the `.sta` stream (see the module docs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -298,45 +294,6 @@ pub fn allocate(path: &Path, n: u64, format: StaFormat) -> io::Result<u64> {
 
 // --- blocked codec ----------------------------------------------------
 
-#[inline]
-fn zigzag64(v: i64) -> u64 {
-    ((v << 1) ^ (v >> 63)) as u64
-}
-
-#[inline]
-fn unzigzag64(u: u64) -> i64 {
-    ((u >> 1) as i64) ^ -((u & 1) as i64)
-}
-
-#[inline]
-fn push_varint64(out: &mut Vec<u8>, mut v: u64) {
-    loop {
-        let b = (v & 0x7F) as u8;
-        v >>= 7;
-        if v == 0 {
-            out.push(b);
-            break;
-        }
-        out.push(b | 0x80);
-    }
-}
-
-#[inline]
-fn read_varint64(body: &[u8], pos: &mut usize) -> io::Result<u64> {
-    let mut v = 0u64;
-    for shift in 0..10u32 {
-        let b = *body
-            .get(*pos)
-            .ok_or_else(|| invalid(".sta block body truncated inside a varint"))?;
-        *pos += 1;
-        v |= ((b & 0x7F) as u64) << (7 * shift);
-        if b & 0x80 == 0 {
-            return Ok(v);
-        }
-    }
-    Err(invalid("varint longer than 10 bytes in .sta block body"))
-}
-
 /// States below this are counted by direct index when a block's default
 /// state is picked; automaton state ids are small and dense, so in
 /// practice that is all of them. Larger values (only a damaged or
@@ -391,20 +348,20 @@ impl BlockEncoder {
     fn encode(&mut self, states: &[u32], out: &mut Vec<u8>) {
         out.clear();
         let default = self.default_state(states);
-        push_varint64(out, default as u64);
+        push_varint(out, default as u64);
         let mut prev = default;
         let mut rest = states;
         while let Some(&v) = rest.first() {
             let len = rest.iter().take_while(|&&s| s == v).count();
             rest = &rest[len..];
             if v == default {
-                push_varint64(out, ((len as u64) << 2) | 1);
+                push_varint(out, ((len as u64) << 2) | 1);
             } else {
                 // Tag 0 (literal) is the two low zero bits of the shift.
-                push_varint64(out, zigzag64(v as i64 - prev as i64) << 2);
+                push_varint(out, zigzag(v as i64 - prev as i64) << 2);
                 prev = v;
                 if len > 1 {
-                    push_varint64(out, (((len - 1) as u64) << 2) | 2);
+                    push_varint(out, (((len - 1) as u64) << 2) | 2);
                 }
             }
         }
@@ -420,9 +377,9 @@ fn decode_sta_block(body: &[u8], n_records: u32, out: &mut Vec<u32>) -> io::Resu
     let mut pos = 0usize;
     let token = |pos: &mut usize| match short_varint(body, pos) {
         Some(v) => Ok(v as u64),
-        None => read_varint64(body, pos),
+        None => read_varint(body, pos),
     };
-    let default = read_varint64(body, &mut pos)?;
+    let default = read_varint(body, &mut pos)?;
     if default > u32::MAX as u64 {
         return Err(invalid(".sta block default state out of range"));
     }
@@ -432,7 +389,7 @@ fn decode_sta_block(body: &[u8], n_records: u32, out: &mut Vec<u32>) -> io::Resu
         let v = token(&mut pos)?;
         match v & 3 {
             0 => {
-                let s = prev as i64 + unzigzag64(v >> 2);
+                let s = prev as i64 + unzigzag(v >> 2);
                 if !(0..=u32::MAX as i64).contains(&s) {
                     return Err(invalid(".sta literal state out of the u32 range"));
                 }
@@ -484,10 +441,7 @@ impl BlockedSegWriter {
     fn create(path: &Path, lo: u64, hi: u64, block_records: u32) -> io::Result<Self> {
         debug_assert!(lo <= hi && block_records >= 1);
         let mut out = BufWriter::new(File::create(path)?);
-        out.write_all(&SEG_MAGIC)?;
-        out.write_all(&lo.to_le_bytes())?;
-        out.write_all(&hi.to_le_bytes())?;
-        out.write_all(&block_records.to_le_bytes())?;
+        write_seg_header(&mut out, lo, hi, block_records)?;
         let blocks = sta_block_count(lo, hi, block_records);
         // Blocks are aligned to `lo`, so the last one — the first the
         // backward pass fills — is the short one.
@@ -552,12 +506,7 @@ impl BlockedSegWriter {
         self.encoder.encode(&self.cur, &mut self.body);
         let j = ((self.block_lo - self.lo) / self.block_records as u64) as usize;
         self.offsets[j] = self.file_pos;
-        self.out.write_all(&(self.cur.len() as u32).to_le_bytes())?;
-        self.out
-            .write_all(&(self.body.len() as u32).to_le_bytes())?;
-        self.out.write_all(&crc32(&self.body).to_le_bytes())?;
-        self.out.write_all(&self.body)?;
-        self.file_pos += (BLOCK_FRAME_BYTES + self.body.len()) as u64;
+        self.file_pos += frame::put_frame(&mut self.out, self.cur.len() as u32, &self.body)?;
         let next = (self.block_lo - self.lo).min(self.block_records as u64);
         self.block_lo -= next;
         self.cur.resize(next as usize, 0);
@@ -576,19 +525,32 @@ impl BlockedSegWriter {
                 self.block_lo + self.fill as u64 - self.lo
             )));
         }
-        let footer_offset = self.file_pos;
-        let mut footer = Vec::with_capacity(self.offsets.len() * 8 + 4);
-        for &off in &self.offsets {
-            debug_assert_ne!(off, u64::MAX, "every block must have been flushed");
-            footer.extend_from_slice(&off.to_le_bytes());
-        }
-        let crc = crc32(&footer);
-        footer.extend_from_slice(&crc.to_le_bytes());
-        self.out.write_all(&footer)?;
-        self.out.write_all(&footer_offset.to_le_bytes())?;
-        self.out.flush()?;
-        Ok(footer_offset + footer.len() as u64 + 8)
+        write_footer(&mut self.out, &self.offsets, self.file_pos)
     }
+}
+
+/// Writes a segment header: magic, `lo`, `hi`, records per block.
+fn write_seg_header(out: &mut impl Write, lo: u64, hi: u64, block_records: u32) -> io::Result<()> {
+    let mut header = [0u8; SEG_HEADER_BYTES as usize];
+    header[0..8].copy_from_slice(&SEG_MAGIC);
+    header[8..16].copy_from_slice(&lo.to_le_bytes());
+    header[16..24].copy_from_slice(&hi.to_le_bytes());
+    header[24..28].copy_from_slice(&block_records.to_le_bytes());
+    out.write_all(&header)
+}
+
+/// Ends a segment whose frame area stops at `footer_offset`: the block
+/// offset index (forward block order), then the 8-byte trailer pointing
+/// at it. Flushes and returns the segment's total size in bytes.
+fn write_footer(out: &mut BufWriter<File>, offsets: &[u64], footer_offset: u64) -> io::Result<u64> {
+    debug_assert!(
+        offsets.iter().all(|&off| off != u64::MAX),
+        "every block must be placed"
+    );
+    let footer = frame::put_index(out, offsets)?;
+    out.write_all(&footer_offset.to_le_bytes())?;
+    out.flush()?;
+    Ok(footer_offset + footer + 8)
 }
 
 /// One opened blocked segment: validated header + footer index, blocks
@@ -623,33 +585,21 @@ impl BlockedSegment {
             return Err(invalid("implausible .sta segment header"));
         }
         let blocks = sta_block_count(lo, hi, block_records);
-        let footer_len = blocks * 8 + 4;
-        if len < SEG_HEADER_BYTES + footer_len + 8 {
-            return Err(invalid("state segment truncated (no footer)"));
-        }
         f.seek(SeekFrom::Start(len - 8))?;
         let mut tr = [0u8; 8];
         read_exact_ctx(&mut f, &mut tr, "segment trailer")?;
         let footer_offset = u64::from_le_bytes(tr);
-        if footer_offset < SEG_HEADER_BYTES || footer_offset + footer_len + 8 != len {
+        if footer_offset < SEG_HEADER_BYTES {
             return Err(invalid("state segment truncated (bad footer offset)"));
         }
-        f.seek(SeekFrom::Start(footer_offset))?;
-        let mut footer = vec![0u8; footer_len as usize];
-        read_exact_ctx(&mut f, &mut footer, "segment footer")?;
-        let (body, crc_bytes) = footer.split_at(footer.len() - 4);
-        if crc32(body) != u32::from_le_bytes(crc_bytes.try_into().unwrap()) {
-            return Err(invalid("state segment footer checksum mismatch"));
-        }
-        let offsets: Vec<u64> = body
-            .chunks_exact(8)
-            .map(|c| u64::from_le_bytes(c.try_into().unwrap()))
-            .collect();
-        for &off in &offsets {
-            if off < SEG_HEADER_BYTES || off >= footer_offset {
-                return Err(invalid("state segment block offset out of range"));
-            }
-        }
+        let offsets = frame::read_index(
+            &mut f,
+            footer_offset,
+            blocks,
+            len - 8,
+            SEG_HEADER_BYTES..footer_offset,
+            "state segment footer",
+        )?;
         Ok(BlockedSegment {
             f,
             lo,
@@ -670,27 +620,10 @@ impl BlockedSegment {
     fn load_block(&mut self, j: usize, out: &mut Vec<u32>, body: &mut Vec<u8>) -> io::Result<()> {
         let expect = self.block_len(j);
         self.f.seek(SeekFrom::Start(self.offsets[j]))?;
-        let mut frame = [0u8; BLOCK_FRAME_BYTES];
-        read_exact_ctx(&mut self.f, &mut frame, "block frame")?;
-        let n_records = u32::from_le_bytes(frame[0..4].try_into().unwrap());
-        let body_len = u32::from_le_bytes(frame[4..8].try_into().unwrap());
-        let crc = u32::from_le_bytes(frame[8..12].try_into().unwrap());
-        if n_records != expect {
-            return Err(invalid(format!(
-                ".sta block {j} holds {n_records} records, expected {expect}"
-            )));
-        }
         // Worst-case body: one 10-byte varint per record plus the default.
-        if body_len as u64 > 10 * (n_records as u64 + 1) {
-            return Err(invalid(".sta block body length implausibly large"));
-        }
-        body.clear();
-        body.resize(body_len as usize, 0);
-        read_exact_ctx(&mut self.f, body, "block body")?;
-        if crc32(body) != crc {
-            return Err(invalid(".sta block checksum mismatch"));
-        }
-        decode_sta_block(body, n_records, out)
+        let max_body = 10 * (expect as u64 + 1);
+        frame::read_frame(&mut self.f, expect, max_body, body, ".sta block")?;
+        decode_sta_block(body, expect, out)
     }
 }
 
@@ -1168,10 +1101,7 @@ pub fn rewrite_blocked(path: &Path, states: &[u32], dirty_from: u64) -> io::Resu
 
     let tmp = PathBuf::from(format!("{}.tmp", path.display()));
     let mut out = BufWriter::new(File::create(&tmp)?);
-    out.write_all(&SEG_MAGIC)?;
-    out.write_all(&0u64.to_le_bytes())?;
-    out.write_all(&new_n.to_le_bytes())?;
-    out.write_all(&r.to_le_bytes())?;
+    write_seg_header(&mut out, 0, new_n, r)?;
     let mut offsets = vec![u64::MAX; new_blocks];
     let mut file_pos = SEG_HEADER_BYTES;
     let mut body = Vec::new();
@@ -1183,11 +1113,7 @@ pub fn rewrite_blocked(path: &Path, states: &[u32], dirty_from: u64) -> io::Resu
         let hi = (lo + r as u64).min(new_n);
         encoder.encode(&states[lo as usize..hi as usize], &mut body);
         offsets[j] = file_pos;
-        out.write_all(&((hi - lo) as u32).to_le_bytes())?;
-        out.write_all(&(body.len() as u32).to_le_bytes())?;
-        out.write_all(&crc32(&body).to_le_bytes())?;
-        out.write_all(&body)?;
-        file_pos += (BLOCK_FRAME_BYTES + body.len()) as u64;
+        file_pos += frame::put_frame(&mut out, (hi - lo) as u32, &body)?;
     }
     if retained > 0 {
         let start = old.offsets[retained - 1];
@@ -1207,17 +1133,7 @@ pub fn rewrite_blocked(path: &Path, states: &[u32], dirty_from: u64) -> io::Resu
         }
         file_pos += len;
     }
-    let footer_offset = file_pos;
-    let mut footer = Vec::with_capacity(new_blocks * 8 + 4);
-    for &off in &offsets {
-        debug_assert_ne!(off, u64::MAX, "every block must be placed");
-        footer.extend_from_slice(&off.to_le_bytes());
-    }
-    let crc = crc32(&footer);
-    footer.extend_from_slice(&crc.to_le_bytes());
-    out.write_all(&footer)?;
-    out.write_all(&footer_offset.to_le_bytes())?;
-    out.flush()?;
+    write_footer(&mut out, &offsets, file_pos)?;
     drop(out);
     drop(old);
     std::fs::rename(&tmp, path)?;
@@ -1225,46 +1141,6 @@ pub fn rewrite_blocked(path: &Path, states: &[u32], dirty_from: u64) -> io::Resu
         retained_blocks: retained as u32,
         rewritten_blocks: (new_blocks - retained) as u32,
     })
-}
-
-/// In-memory variant used when the whole run fits in RAM (small trees,
-/// tests): same interface, no file.
-#[derive(Default)]
-pub struct MemStates {
-    states: Vec<u32>,
-}
-
-impl MemStates {
-    /// Storage for `n` states.
-    pub fn new(n: usize) -> Self {
-        MemStates {
-            states: vec![u32::MAX; n],
-        }
-    }
-
-    /// Records the state of node `ix`.
-    pub fn set(&mut self, ix: u32, state: u32) {
-        self.states[ix as usize] = state;
-    }
-
-    /// The state of node `ix`.
-    pub fn get(&self, ix: u32) -> u32 {
-        self.states[ix as usize]
-    }
-}
-
-/// Ensures a file handle's cursor sits at the start (paranoia helper for
-/// reuse across scans).
-pub fn rewind(f: &mut File) -> io::Result<()> {
-    f.seek(std::io::SeekFrom::Start(0))?;
-    Ok(())
-}
-
-/// Writes raw bytes at a path (test helper).
-pub fn write_all(path: &Path, bytes: &[u8]) -> io::Result<()> {
-    let mut f = File::create(path)?;
-    f.write_all(bytes)?;
-    f.flush()
 }
 
 #[cfg(test)]
@@ -1398,13 +1274,13 @@ mod tests {
         }
         // Reserved tag 3 is rejected.
         let mut bad = Vec::new();
-        push_varint64(&mut bad, 0); // default
-        push_varint64(&mut bad, 3); // tag 3
+        push_varint(&mut bad, 0); // default
+        push_varint(&mut bad, 3); // tag 3
         assert!(decode_sta_block(&bad, 1, &mut out).is_err());
         // A run overrunning its block is rejected.
         let mut bad = Vec::new();
-        push_varint64(&mut bad, 0);
-        push_varint64(&mut bad, (9 << 2) | 1);
+        push_varint(&mut bad, 0);
+        push_varint(&mut bad, (9 << 2) | 1);
         assert!(decode_sta_block(&bad, 2, &mut out).is_err());
     }
 
@@ -1428,16 +1304,16 @@ mod tests {
             .into_iter()
             .max_by_key(|&(v, total)| (total, std::cmp::Reverse(v)))
             .map_or(0, |(v, _)| v);
-        push_varint64(out, default as u64);
+        push_varint(out, default as u64);
         let mut prev = default;
         for &(v, len) in &runs {
             if v == default {
-                push_varint64(out, ((len as u64) << 2) | 1);
+                push_varint(out, ((len as u64) << 2) | 1);
             } else {
-                push_varint64(out, zigzag64(v as i64 - prev as i64) << 2);
+                push_varint(out, zigzag(v as i64 - prev as i64) << 2);
                 prev = v;
                 if len > 1 {
-                    push_varint64(out, (((len - 1) as u64) << 2) | 2);
+                    push_varint(out, (((len - 1) as u64) << 2) | 2);
                 }
             }
         }
@@ -1573,13 +1449,6 @@ mod tests {
     }
 
     #[test]
-    fn mem_states() {
-        let mut m = MemStates::new(4);
-        m.set(2, 99);
-        assert_eq!(m.get(2), 99);
-    }
-
-    #[test]
     fn segments_and_patches_compose_into_one_state_stream() {
         for format in BOTH {
             let dir = tmp_dir("seg");
@@ -1705,7 +1574,8 @@ mod tests {
         w.finish().unwrap();
         // Flip a byte inside the first block body.
         let mut bytes = std::fs::read(&path).unwrap();
-        let target = SEG_HEADER_BYTES as usize + BLOCK_FRAME_BYTES + 2;
+        // Two bytes past the 12-byte head of the first frame.
+        let target = SEG_HEADER_BYTES as usize + 12 + 2;
         bytes[target] ^= 0xFF;
         std::fs::write(&path, &bytes).unwrap();
         let res = StateFileReader::open(&path, StaFormat::Blocked)
@@ -1713,6 +1583,26 @@ mod tests {
         let err = res.expect_err("bit flip must be caught");
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         assert!(err.to_string().contains("checksum"), "{err}");
+    }
+
+    /// A segment header claiming 2^64 − 1 one-record blocks, whose
+    /// trailer points just past the header: the footer size wraps the
+    /// address space, so it must be refused before anything is sized
+    /// from it.
+    #[test]
+    fn footer_size_past_the_address_space_is_invalid_data() {
+        let path = tmp_dir("huge").join("huge.sta");
+        let mut bytes = Vec::new();
+        write_seg_header(&mut bytes, 0, u64::MAX, 1).unwrap();
+        bytes.extend_from_slice(&32u64.to_le_bytes());
+        assert_eq!(bytes.len(), 36);
+        std::fs::write(&path, &bytes).unwrap();
+        let err = StateFileReader::open(&path, StaFormat::Blocked)
+            .err()
+            .expect("open must fail");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+        let err = rewrite_blocked(&path, &[], 0).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
     }
 
     #[test]

@@ -27,6 +27,7 @@
 //! offset, which is what makes these edits purely positional.
 
 use crate::format::NodeRecord;
+use crate::frame;
 use crate::v2::{self, Header};
 use std::fs::{File, OpenOptions};
 use std::io::{self, Read, Seek, SeekFrom, Write};
@@ -539,24 +540,14 @@ impl ArbUpdater {
             let hi = (lo + r as usize).min(self.records.len());
             v2::encode_block(&self.records[lo..hi], &mut body);
             self.offsets.push(pos);
-            out.write_all(&((hi - lo) as u32).to_le_bytes())?;
-            out.write_all(&(body.len() as u32).to_le_bytes())?;
-            out.write_all(&v2::crc32(&body).to_le_bytes())?;
-            out.write_all(&body)?;
-            pos += 12 + body.len() as u64;
+            pos += frame::put_frame(&mut out, (hi - lo) as u32, &body)?;
         }
         let extent_offset = pos;
         let section = v2::build_extent_section(&self.ends, &self.kinds, extent_offset);
         out.write_all(&section)?;
         pos += section.len() as u64;
         let index_offset = pos;
-        let mut index = Vec::with_capacity(self.offsets.len() * 8);
-        for &o in &self.offsets {
-            index.extend_from_slice(&o.to_le_bytes());
-        }
-        out.write_all(&index)?;
-        out.write_all(&v2::crc32(&index).to_le_bytes())?;
-        pos += index.len() as u64 + 4;
+        pos += frame::put_index(&mut out, &self.offsets)?;
         out.flush()?;
         drop(out);
         f.set_len(pos)?;

@@ -49,6 +49,11 @@
 //! └────────────────────────────────────────────────────────────────────┘
 //! ```
 //!
+//! The block frame, the block index and the extent directory follow the
+//! shared grammar of [`crate::frame`], which writes and checks them; an
+//! extent window is a frame without the record count. This module owns
+//! the header, what goes inside the bodies and where the sections sit.
+//!
 //! Crash safety: creation writes a **placeholder** header first — the
 //! real magic with an invalid version field — and patches the real
 //! header only after every block, the extent section and the index are
@@ -68,6 +73,9 @@
 //! covered by the header CRC.
 
 use crate::format::NodeRecord;
+use crate::frame::{
+    self, crc32, invalid, push_varint, read_varint_u32, short_varint, unzigzag, zigzag,
+};
 use arb_tree::LabelId;
 use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::sync::Arc;
@@ -86,144 +94,20 @@ pub const BLOCK_RECORDS: u32 = 32 * 1024;
 pub const EXTENT_WINDOW: u32 = 16 * 1024;
 /// Bytes per node in the extent section (u32 end + u8 kind flags).
 pub const EXTENT_ENTRY_BYTES: u64 = 5;
-/// Per-block frame: record count, body length, body CRC32.
-const BLOCK_FRAME_BYTES: usize = 12;
 /// Upper bound on a block body — anything larger is corruption, not data
 /// (the worst-case varint stream for a full block is 3 bytes/record).
 const MAX_BLOCK_BODY: u32 = 4 * BLOCK_RECORDS;
 /// 14-bit label mask, mirrored from the record format.
 const LABEL_MASK: u16 = (1 << 14) - 1;
 
-/// Slicing-by-8 tables: `CRC_TABLES[0]` is the classic byte-at-a-time
-/// table, `CRC_TABLES[k][b]` the CRC of byte `b` followed by `k` zero
-/// bytes — so eight input bytes fold into the register with eight
-/// independent lookups instead of a chain of eight dependent ones.
-const CRC_TABLES: [[u32; 256]; 8] = {
-    let mut tables = [[0u32; 256]; 8];
-    let mut i = 0;
-    while i < 256 {
-        let mut c = i as u32;
-        let mut k = 0;
-        while k < 8 {
-            c = if c & 1 != 0 {
-                0xEDB8_8320 ^ (c >> 1)
-            } else {
-                c >> 1
-            };
-            k += 1;
-        }
-        tables[0][i] = c;
-        i += 1;
-    }
-    let mut k = 1;
-    while k < 8 {
-        let mut i = 0;
-        while i < 256 {
-            let prev = tables[k - 1][i];
-            tables[k][i] = (prev >> 8) ^ tables[0][(prev & 0xFF) as usize];
-            i += 1;
-        }
-        k += 1;
-    }
-    tables
-};
-
-/// CRC-32 (IEEE 802.3 polynomial, the zlib/PNG variant), hand-rolled —
-/// the workspace is fully offline, so no checksum crate. Every block of
-/// every scan passes through here, so it folds eight bytes per step.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    let t = &CRC_TABLES;
-    let mut c = 0xFFFF_FFFFu32;
-    let mut words = bytes.chunks_exact(8);
-    for w in &mut words {
-        let lo = c ^ u32::from_le_bytes([w[0], w[1], w[2], w[3]]);
-        let hi = u32::from_le_bytes([w[4], w[5], w[6], w[7]]);
-        c = t[7][(lo & 0xFF) as usize]
-            ^ t[6][(lo >> 8 & 0xFF) as usize]
-            ^ t[5][(lo >> 16 & 0xFF) as usize]
-            ^ t[4][(lo >> 24) as usize]
-            ^ t[3][(hi & 0xFF) as usize]
-            ^ t[2][(hi >> 8 & 0xFF) as usize]
-            ^ t[1][(hi >> 16 & 0xFF) as usize]
-            ^ t[0][(hi >> 24) as usize];
-    }
-    for &b in words.remainder() {
-        c = t[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8);
-    }
-    !c
-}
-
-fn invalid(msg: impl Into<String>) -> io::Error {
-    io::Error::new(io::ErrorKind::InvalidData, msg.into())
-}
-
-#[inline]
-fn zigzag(v: i32) -> u32 {
-    ((v << 1) ^ (v >> 31)) as u32
-}
-
-#[inline]
-fn unzigzag(u: u32) -> i32 {
-    ((u >> 1) as i32) ^ -((u & 1) as i32)
-}
-
-#[inline]
-fn push_varint(out: &mut Vec<u8>, mut v: u32) {
-    loop {
-        let b = (v & 0x7F) as u8;
-        v >>= 7;
-        if v == 0 {
-            out.push(b);
-            break;
-        }
-        out.push(b | 0x80);
-    }
-}
-
-#[inline]
-fn read_varint(body: &[u8], pos: &mut usize) -> io::Result<u32> {
-    let mut v = 0u32;
-    for shift in [0u32, 7, 14, 21, 28] {
-        let b = *body
-            .get(*pos)
-            .ok_or_else(|| invalid("block body truncated inside a varint"))?;
-        *pos += 1;
-        v |= ((b & 0x7F) as u32) << shift;
-        if b & 0x80 == 0 {
-            return Ok(v);
-        }
-    }
-    Err(invalid("varint longer than 5 bytes in block body"))
-}
-
-/// The varint at `pos` if it is one or two bytes long (and the body has
-/// two bytes left to look at), decoded without a branch on its length:
-/// short varints are nearly all of a record block or a `.sta` block, in
-/// no predictable order. `None` leaves `pos` alone for the general
-/// reader.
-#[inline]
-pub(crate) fn short_varint(body: &[u8], pos: &mut usize) -> Option<u32> {
-    let at = *pos;
-    if at + 1 >= body.len() {
-        return None;
-    }
-    let w = body[at] as u32 | (body[at + 1] as u32) << 8;
-    if w & 0x8080 == 0x8080 {
-        return None;
-    }
-    let two = w >> 7 & 1;
-    *pos = at + 1 + two as usize;
-    Some((w & 0x7F) | ((w >> 1 & 0x3F80) * two))
-}
-
 /// Encodes a run of records as one block body (delta/varint stream).
 pub fn encode_block(records: &[NodeRecord], out: &mut Vec<u8>) {
     out.clear();
-    let mut prev = 0i32;
+    let mut prev = 0i64;
     for r in records {
-        let delta = r.label.0 as i32 - prev;
-        prev = r.label.0 as i32;
-        let v = (zigzag(delta) << 2) | ((r.has_second as u32) << 1) | r.has_first as u32;
+        let delta = r.label.0 as i64 - prev;
+        prev = r.label.0 as i64;
+        let v = (zigzag(delta) << 2) | ((r.has_second as u64) << 1) | r.has_first as u64;
         push_varint(out, v);
     }
 }
@@ -247,11 +131,11 @@ pub fn decode_block(body: &[u8], n_records: u32, out: &mut Vec<NodeRecord>) -> i
     for slot in out.iter_mut() {
         let v = match short_varint(body, &mut pos) {
             Some(v) => v,
-            None => read_varint(body, &mut pos)?,
+            None => read_varint_u32(body, &mut pos)?,
         };
         // A delta is under 2^30 either way, so the first label to leave
         // the label space is seen by `min`/`max` before the sum can wrap.
-        label = label.wrapping_add(unzigzag(v >> 2));
+        label = label.wrapping_add(unzigzag((v >> 2) as u64) as i32);
         min = min.min(label);
         max = max.max(label);
         *slot = NodeRecord {
@@ -446,11 +330,6 @@ fn fixed_extent_window_offset(extent_offset: u64, w: u32) -> u64 {
     extent_offset + w as u64 * (4 + EXTENT_WINDOW as u64 * EXTENT_ENTRY_BYTES)
 }
 
-/// Bytes of the compressed extent section's window directory.
-fn extent_dir_bytes(n: u32) -> u64 {
-    extent_windows(n) as u64 * 8 + 4
-}
-
 /// Upper bound on a compressed extent window body: packed kinds plus a
 /// worst-case 5-byte varint per node. Larger claims are corruption.
 const MAX_EXTENT_BODY: u32 = EXTENT_WINDOW / 4 + 5 * EXTENT_WINDOW;
@@ -467,7 +346,7 @@ pub fn encode_extent_window(ends: &[u32], kinds: &[u8], lo: u32, out: &mut Vec<u
     }
     for (i, &e) in ends.iter().enumerate() {
         let v = lo + i as u32;
-        push_varint(out, e - (v + 1));
+        push_varint(out, (e - (v + 1)) as u64);
     }
 }
 
@@ -486,7 +365,7 @@ pub fn decode_extent_window(body: &[u8], lo: u32, len: usize) -> io::Result<(Vec
     let mut pos = kind_bytes;
     for i in 0..len {
         let v = lo + i as u32;
-        let size = read_varint(body, &mut pos)?;
+        let size = read_varint_u32(body, &mut pos)?;
         let end = (v as u64 + 1).checked_add(size as u64);
         match end {
             Some(e) if e <= u32::MAX as u64 => ends.push(e as u32),
@@ -497,17 +376,6 @@ pub fn decode_extent_window(body: &[u8], lo: u32, len: usize) -> io::Result<(Vec
         return Err(invalid("extent window body longer than its node count"));
     }
     Ok((ends, kinds))
-}
-
-/// Reads compressed extent window `w`'s absolute file offset from the
-/// directory. The directory CRC is verified once at
-/// [`read_meta`]; a flipped entry here lands on a frame whose own
-/// length bound and body CRC reject it.
-fn extent_dir_entry<R: Read + Seek>(r: &mut R, extent_offset: u64, w: u32) -> io::Result<u64> {
-    r.seek(SeekFrom::Start(extent_offset + w as u64 * 8))?;
-    let mut b = [0u8; 8];
-    r.read_exact(&mut b)?;
-    Ok(u64::from_le_bytes(b))
 }
 
 /// Reads and cross-validates the header and block index of a v2 file.
@@ -523,13 +391,22 @@ pub fn read_meta<R: Read + Seek>(f: &mut R, file_len: u64) -> io::Result<V2Meta>
     f.read_exact(&mut hb)?;
     let header = Header::parse(&hb)?;
     let n = header.node_count;
-    let bc = header.block_count as u64;
-    let index_bytes = bc * 8 + 4;
-    if header.index_offset + index_bytes != file_len {
-        return Err(invalid("v2 .arb file truncated (index does not reach EOF)"));
-    }
     if header.extent_offset < HEADER_BYTES as u64 {
         return Err(invalid("v2 header: sections overlap the header"));
+    }
+    let offsets = frame::read_index(
+        f,
+        header.index_offset,
+        header.block_count as u64,
+        file_len,
+        HEADER_BYTES as u64..header.extent_offset,
+        "v2 block index",
+    )?;
+    if offsets.windows(2).any(|w| w[1] <= w[0]) {
+        return Err(invalid("v2 block index: offsets not increasing"));
+    }
+    if offsets.first().is_some_and(|&o| o != HEADER_BYTES as u64) {
+        return Err(invalid("v2 block index: first block not after the header"));
     }
     match header.extent_format {
         ExtentFormat::Fixed => {
@@ -546,54 +423,23 @@ pub fn read_meta<R: Read + Seek>(f: &mut R, file_len: u64) -> io::Result<V2Meta>
         ExtentFormat::Compressed => {
             // The directory must fit before the index; its entries must
             // be CRC-clean, increasing, and point into the window area.
-            let dir_bytes = extent_dir_bytes(n);
-            let windows_start = match header.extent_offset.checked_add(dir_bytes) {
+            let windows = extent_windows(n) as u64;
+            let windows_start = match frame::index_end(header.extent_offset, windows) {
                 Some(s) if s <= header.index_offset => s,
                 _ => return Err(invalid("v2 header: extent directory overruns the index")),
             };
-            f.seek(SeekFrom::Start(header.extent_offset))?;
-            let mut raw = vec![0u8; dir_bytes as usize];
-            f.read_exact(&mut raw)?;
-            let (dir, crc_bytes) = raw.split_at(raw.len() - 4);
-            if crc32(dir) != u32::from_le_bytes(crc_bytes.try_into().expect("4 bytes")) {
-                return Err(invalid("v2 extent directory checksum mismatch"));
-            }
-            let mut prev = 0u64;
-            for (w, c) in dir.chunks_exact(8).enumerate() {
-                let off = u64::from_le_bytes(c.try_into().expect("8 bytes"));
-                if w > 0 && off <= prev {
-                    return Err(invalid("v2 extent directory: offsets not increasing"));
-                }
-                if off < windows_start || off >= header.index_offset {
-                    return Err(invalid("v2 extent directory: offset outside the section"));
-                }
-                prev = off;
+            let dir = frame::read_index(
+                f,
+                header.extent_offset,
+                windows,
+                windows_start,
+                windows_start..header.index_offset,
+                "v2 extent directory",
+            )?;
+            if dir.windows(2).any(|w| w[1] <= w[0]) {
+                return Err(invalid("v2 extent directory: offsets not increasing"));
             }
         }
-    }
-    f.seek(SeekFrom::Start(header.index_offset))?;
-    let mut raw = vec![0u8; index_bytes as usize];
-    f.read_exact(&mut raw)?;
-    let (body, crc_bytes) = raw.split_at(raw.len() - 4);
-    let crc = u32::from_le_bytes(crc_bytes.try_into().expect("4 bytes"));
-    if crc32(body) != crc {
-        return Err(invalid("v2 block index checksum mismatch"));
-    }
-    let mut offsets = Vec::with_capacity(header.block_count as usize);
-    let mut prev = 0u64;
-    for c in body.chunks_exact(8) {
-        let off = u64::from_le_bytes(c.try_into().expect("8 bytes"));
-        if off <= prev && !offsets.is_empty() {
-            return Err(invalid("v2 block index: offsets not increasing"));
-        }
-        if off < HEADER_BYTES as u64 || off >= header.extent_offset {
-            return Err(invalid("v2 block index: offset outside the block area"));
-        }
-        prev = off;
-        offsets.push(off);
-    }
-    if offsets.first().is_some_and(|&o| o != HEADER_BYTES as u64) {
-        return Err(invalid("v2 block index: first block not after the header"));
     }
     Ok(V2Meta {
         header,
@@ -616,23 +462,8 @@ pub fn read_block<R: Read + Seek>(
     out: &mut Vec<NodeRecord>,
 ) -> io::Result<()> {
     r.seek(SeekFrom::Start(offset))?;
-    let mut frame = [0u8; BLOCK_FRAME_BYTES];
-    r.read_exact(&mut frame)?;
-    let n_records = u32::from_le_bytes(frame[0..4].try_into().expect("4 bytes"));
-    let body_len = u32::from_le_bytes(frame[4..8].try_into().expect("4 bytes"));
-    let crc = u32::from_le_bytes(frame[8..12].try_into().expect("4 bytes"));
-    if n_records != expected {
-        return Err(invalid("v2 block record count disagrees with the header"));
-    }
-    if body_len > MAX_BLOCK_BODY {
-        return Err(invalid("v2 block body length implausibly large"));
-    }
-    scratch.resize(body_len as usize, 0);
-    r.read_exact(scratch)?;
-    if crc32(scratch) != crc {
-        return Err(invalid("v2 block checksum mismatch"));
-    }
-    decode_block(scratch, n_records, out)
+    frame::read_frame(r, expected, MAX_BLOCK_BODY as u64, scratch, "v2 block")?;
+    decode_block(scratch, expected, out)
 }
 
 /// Reads and checksum-verifies one extent window: `(ends, kinds)` for
@@ -674,20 +505,12 @@ pub fn read_extent_window<R: Read + Seek>(
             Ok((ends, kinds))
         }
         ExtentFormat::Compressed => {
-            let off = extent_dir_entry(r, extent_offset, w)?;
+            // The directory's CRC was verified at `read_meta`; a flipped
+            // entry lands on a body whose length bound and CRC reject it.
+            let off = frame::read_index_entry(r, extent_offset, w as u64, "v2 extent directory")?;
             r.seek(SeekFrom::Start(off))?;
-            let mut frame = [0u8; 8];
-            r.read_exact(&mut frame)?;
-            let body_len = u32::from_le_bytes(frame[0..4].try_into().expect("4 bytes"));
-            let crc = u32::from_le_bytes(frame[4..8].try_into().expect("4 bytes"));
-            if body_len > MAX_EXTENT_BODY {
-                return Err(invalid("v2 extent window body implausibly large"));
-            }
-            let mut body = vec![0u8; body_len as usize];
-            r.read_exact(&mut body)?;
-            if crc32(&body) != crc {
-                return Err(invalid("v2 extent window checksum mismatch"));
-            }
+            let mut body = Vec::new();
+            frame::read_body(r, MAX_EXTENT_BODY as u64, &mut body, "v2 extent window")?;
             decode_extent_window(&body, lo as u32, len)
         }
     }
@@ -698,23 +521,23 @@ pub fn read_extent_window<R: Read + Seek>(
 /// Returns the section bytes ready to write at that offset.
 pub fn build_extent_section(ends: &[u32], kinds: &[u8], extent_offset: u64) -> Vec<u8> {
     let n = ends.len() as u32;
-    let dir_bytes = extent_dir_bytes(n);
-    let mut dir: Vec<u8> = Vec::with_capacity(dir_bytes as usize);
+    let windows = extent_windows(n);
+    let windows_start = frame::index_end(extent_offset, windows as u64)
+        .expect("a writer's position leaves room for a directory of at most 2^18 entries");
+    let mut dir = Vec::with_capacity(windows as usize);
     let mut frames: Vec<u8> = Vec::new();
     let mut body = Vec::new();
-    for w in 0..extent_windows(n) {
+    for w in 0..windows {
         let lo = w as usize * EXTENT_WINDOW as usize;
         let hi = (lo + EXTENT_WINDOW as usize).min(n as usize);
         encode_extent_window(&ends[lo..hi], &kinds[lo..hi], lo as u32, &mut body);
-        dir.extend_from_slice(&(extent_offset + dir_bytes + frames.len() as u64).to_le_bytes());
-        frames.extend_from_slice(&(body.len() as u32).to_le_bytes());
-        frames.extend_from_slice(&crc32(&body).to_le_bytes());
-        frames.extend_from_slice(&body);
+        dir.push(windows_start + frames.len() as u64);
+        frame::put_body(&mut frames, &body).expect("writes to a Vec cannot fail");
     }
-    let crc = crc32(&dir);
-    dir.extend_from_slice(&crc.to_le_bytes());
-    dir.extend_from_slice(&frames);
-    dir
+    let mut section = Vec::with_capacity((windows_start - extent_offset) as usize + frames.len());
+    frame::put_index(&mut section, &dir).expect("writes to a Vec cannot fail");
+    section.extend_from_slice(&frames);
+    section
 }
 
 /// Streaming v2 writer: header placeholder first, then blocks as records
@@ -782,12 +605,7 @@ impl<W: Write + Seek> V2Writer<W> {
         }
         encode_block(&self.cur, &mut self.body);
         self.offsets.push(self.pos);
-        self.out.write_all(&(self.cur.len() as u32).to_le_bytes())?;
-        self.out
-            .write_all(&(self.body.len() as u32).to_le_bytes())?;
-        self.out.write_all(&crc32(&self.body).to_le_bytes())?;
-        self.out.write_all(&self.body)?;
-        self.pos += (BLOCK_FRAME_BYTES + self.body.len()) as u64;
+        self.pos += frame::put_frame(&mut self.out, self.cur.len() as u32, &self.body)?;
         self.cur.clear();
         Ok(())
     }
@@ -818,13 +636,7 @@ impl<W: Write + Seek> V2Writer<W> {
         self.out.write_all(&section)?;
         self.pos += section.len() as u64;
         let index_offset = self.pos;
-        let mut index = Vec::with_capacity(self.offsets.len() * 8);
-        for &o in &self.offsets {
-            index.extend_from_slice(&o.to_le_bytes());
-        }
-        self.out.write_all(&index)?;
-        self.out.write_all(&crc32(&index).to_le_bytes())?;
-        self.pos += index.len() as u64 + 4;
+        self.pos += frame::put_index(&mut self.out, &self.offsets)?;
 
         let header = Header {
             node_count: self.node_count,
@@ -861,34 +673,57 @@ mod tests {
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b""), 0);
         // Every length mod 8 takes the same value through the eight-byte
-        // steps as through the byte-at-a-time definition.
+        // steps as through the bit-at-a-time definition.
         let data: Vec<u8> = (0..100u32).map(|i| (i * 37 + 11) as u8).collect();
         for len in 0..data.len() {
-            let bytewise = !data[..len].iter().fold(!0u32, |c, &b| {
-                CRC_TABLES[0][((c ^ b as u32) & 0xFF) as usize] ^ (c >> 8)
+            let bitwise = !data[..len].iter().fold(!0u32, |mut c, &b| {
+                c ^= b as u32;
+                for _ in 0..8 {
+                    c = if c & 1 != 0 {
+                        0xEDB8_8320 ^ (c >> 1)
+                    } else {
+                        c >> 1
+                    };
+                }
+                c
             });
-            assert_eq!(crc32(&data[..len]), bytewise, "length {len}");
+            assert_eq!(crc32(&data[..len]), bitwise, "length {len}");
         }
     }
 
     #[test]
     fn varint_zigzag_roundtrip() {
-        for v in [0i32, 1, -1, 63, -64, 300, -300, 16383, -16383] {
+        for v in [
+            0i64,
+            1,
+            -1,
+            63,
+            -64,
+            300,
+            -300,
+            16383,
+            -16383,
+            i64::MIN,
+            i64::MAX,
+        ] {
             assert_eq!(unzigzag(zigzag(v)), v);
         }
         let mut buf = Vec::new();
-        for v in [0u32, 1, 127, 128, 16384, u32::MAX] {
+        for v in [0u64, 1, 127, 128, 16384, u32::MAX as u64, u64::MAX] {
             buf.clear();
             push_varint(&mut buf, v);
             let mut pos = 0;
-            assert_eq!(read_varint(&buf, &mut pos).unwrap(), v);
+            assert_eq!(frame::read_varint(&buf, &mut pos).unwrap(), v);
             assert_eq!(pos, buf.len());
+            pos = 0;
+            let narrow = read_varint_u32(&buf, &mut pos);
+            assert_eq!(narrow.ok(), u32::try_from(v).ok(), "{v}");
         }
         // The short path takes exactly the one- and two-byte varints,
         // given two bytes to look at, and leaves `pos` alone otherwise.
         for v in (0..20_000u32).chain([1 << 21, u32::MAX]) {
             buf.clear();
-            push_varint(&mut buf, v);
+            push_varint(&mut buf, v as u64);
             let len = buf.len();
             let mut pos = 0;
             if len == 1 {
@@ -933,7 +768,7 @@ mod tests {
         let body_of = |deltas: &[i32]| {
             let mut body = Vec::new();
             for &d in deltas {
-                push_varint(&mut body, zigzag(d) << 2);
+                push_varint(&mut body, zigzag(d as i64) << 2);
             }
             body
         };
@@ -977,6 +812,32 @@ mod tests {
         let mut nomagic = bytes;
         nomagic[0] = b'X';
         assert!(Header::parse(&nomagic).is_err());
+    }
+
+    /// A checksum-clean header whose block index starts at the last byte
+    /// of the address space: where the index ends cannot be computed, so
+    /// the file is corrupt, not a reason to panic.
+    #[test]
+    fn index_offset_past_the_address_space_is_invalid_data() {
+        let h = Header {
+            node_count: 1,
+            tag_count: 1,
+            block_count: 1,
+            block_records: BLOCK_RECORDS,
+            extent_offset: HEADER_BYTES as u64,
+            index_offset: u64::MAX,
+            appends: 0,
+            splices: 0,
+            deletes: 0,
+            extent_format: ExtentFormat::Compressed,
+        };
+        let mut file = h.to_bytes().to_vec();
+        file.resize(HEADER_BYTES + 32, 0);
+        let len = file.len() as u64;
+        let err = read_meta(&mut Cursor::new(file), len)
+            .err()
+            .expect("read_meta must fail");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
     }
 
     #[test]

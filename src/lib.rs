@@ -201,9 +201,9 @@
 //! Programmatic access goes through [`server::Client`], or
 //! [`server::Server::start`] to embed the service; the length-prefixed
 //! frame layout, request/response schema and error codes are specified
-//! in the [`server::protocol`] module docs. The `servebench` binary in
-//! `arb-bench` drives a server at a fixed offered QPS and reports
-//! p50/p99 latency and scans-per-query.
+//! in the [`server::protocol`] module docs. The `serve_open` workload of
+//! the repository benchmark (`perfbench/`) drives a server at a fixed
+//! offered load and reports p50/p95 latency and scans-per-query.
 //!
 //! ## Updatable databases and standing queries
 //!
@@ -277,11 +277,7 @@
 //! Paper-figure reproductions live in `arb-bench` as binaries:
 //! `cargo run --release -p arb-bench --bin fig5` (creation statistics),
 //! `fig6 [treebank|acgt-flat|acgt-infix|all]`, `baseline`, `multiquery`,
-//! `parallel`, `sharded` (per-thread scaling of the sharded disk path),
-//! `ablation`, `storagefmt` (v1 vs. v2 creation, file size and cold/warm
-//! scan throughput), `servebench` (open-loop load against a resident
-//! server: p50/p99 latency, scans-per-query, cache hit and automata
-//! reuse rates), and
+//! `parallel`, `ablation`, and
 //! `regress` (benchmark regression tracking against the committed
 //! baselines in `crates/bench/baselines/`, now including storage
 //! file-size, decode-throughput, server scan-sharing and exact automata

@@ -6,7 +6,7 @@
 //! byte-for-byte interchangeable.
 
 use arb::engine::{BooleanSink, CountSink, EvalRequest, NodeSetSink};
-use arb::storage::{create_from_xml_with, v2, ArbDatabase, FormatVersion};
+use arb::storage::{create_from_xml_with, frame, ArbDatabase, FormatVersion};
 use arb::xml::XmlConfig;
 use arb::Database;
 use proptest::prelude::*;
@@ -85,7 +85,7 @@ fn assert_rejected(path: &Path, what: &str) {
 /// Recomputes the header CRC after a deliberate field patch, so the
 /// mutation tests cross-field consistency rather than the checksum.
 fn reseal_header(bytes: &mut [u8]) {
-    let crc = v2::crc32(&bytes[..60]);
+    let crc = frame::crc32(&bytes[..60]);
     bytes[60..64].copy_from_slice(&crc.to_le_bytes());
 }
 
